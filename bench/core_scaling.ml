@@ -1,5 +1,5 @@
 (* Core complexity sweep: the O(n log n) decision-loop rewrite against
-   the frozen quadratic implementations (Before), on synthetic instances
+   the frozen quadratic implementations (Reference), on synthetic instances
    of growing size.
 
      offline sweep  all 6 policies (3 dynamic + 3 corrected) on one
@@ -78,8 +78,8 @@ let offline_before instance =
     (fun p ->
       Schedule.makespan
         (match p with
-        | `Dynamic c -> Before.Dyn.run c instance
-        | `Corrected r -> Before.Cor.run r instance))
+        | `Dynamic c -> Reference.Dyn.run c instance
+        | `Corrected r -> Reference.Cor.run r instance))
     offline_policies
 
 let online_policy = Engine.Corrected Corrected_rules.OOSCMR
@@ -99,11 +99,11 @@ let online_after ~capacity ~spacing tasks =
   Schedule.makespan (Engine.drain eng)
 
 let online_before ~capacity ~spacing tasks =
-  let eng = Before.Eng.create ~policy:online_policy ~capacity () in
+  let eng = Reference.Eng.create ~policy:online_policy ~capacity () in
   List.iteri
-    (fun i task -> Before.Eng.submit eng ~arrival:(float_of_int i *. spacing) task)
+    (fun i task -> Reference.Eng.submit eng ~arrival:(float_of_int i *. spacing) task)
     tasks;
-  Schedule.makespan (Before.Eng.drain eng)
+  Schedule.makespan (Reference.Eng.drain eng)
 
 (* Least-squares slope of log t over log n: the empirical scaling
    exponent. *)

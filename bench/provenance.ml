@@ -24,14 +24,25 @@ let git_commit () =
       | Unix.WEXITED 0 when String.length line = 40 -> line
       | _ -> "unknown")
 
+(* Whether tracked files differ from the commit: numbers measured on
+   uncommitted changes must not pass for the commit's own. *)
+let git_dirty () =
+  match Unix.open_process_in "git status --porcelain --untracked-files=no 2>/dev/null" with
+  | exception _ -> false
+  | ic ->
+      let out = In_channel.input_all ic in
+      ignore (Unix.close_process_in ic);
+      out <> ""
+
 (* The common stamp fields, ready to splice into a JSON object. [cores]
    is Domain.recommended_domain_count: multi-core speedup numbers (and
    the gates that skip on single-core runners) are meaningless without
    knowing what hardware produced them. *)
 let json_fields () =
   Printf.sprintf
-    "  \"git_commit\": \"%s\",\n  \"hostname\": \"%s\",\n  \"cores\": %d,\n"
+    "  \"git_commit\": \"%s\",\n  \"dirty\": %b,\n  \"hostname\": \"%s\",\n  \"cores\": %d,\n"
     (json_escape (git_commit ()))
+    (git_dirty ())
     (json_escape (hostname ()))
     (Domain.recommended_domain_count ())
 

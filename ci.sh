@@ -94,6 +94,20 @@ wait "$server_pid" 2>/dev/null || true
 kill "$idle2_pid" 2>/dev/null || true
 echo "server shut down cleanly with a client still connected"
 
+echo "== perfbench output checks =="
+# One short run per benchmark workload, for its output checks: every
+# served DRAIN must equal the offline Corrected_rules OOSCMR schedule bit
+# for bit, and every fleet winner must reproduce its makespan. A failed
+# check makes run.sh exit non-zero.
+for w in fleet-hf cached-ccsd serve-hf; do
+  bash perfbench/run.sh --workload "$w" --seconds 1 >"$tmp/perfbench-$w.out" 2>&1 || {
+    echo "FAIL: perfbench $w output checks failed:" >&2
+    cat "$tmp/perfbench-$w.out" >&2
+    exit 1
+  }
+  echo "perfbench $w OK: $(grep -o '"correct": [a-z]*' "$tmp/perfbench-$w.out")"
+done
+
 echo "== core complexity sweep (fast workload) =="
 EXPERIMENTS=core DTSCHED_FAST=1 dune exec bench/main.exe
 

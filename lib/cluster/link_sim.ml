@@ -125,11 +125,8 @@ let run topo ~placement ~mode ~orders =
   in
   let seq = ref 0 in
   let events =
-    Iheap.create
-      ~cmp:(fun a b ->
+    Iheap.create ~cmp:(fun a b ->
         match Float.compare a.time b.time with 0 -> Int.compare a.seq b.seq | c -> c)
-      ~id:(fun e -> e.seq)
-      ()
   in
   let push time kind =
     incr seq;

@@ -1,10 +1,10 @@
 (* Evict-aware variants of the dynamic selection rules: the same greedy
-   decision loop as [Dynamic_rules.run], but every decision is taken on
-   the *effective* communication time — the task's [comm] minus the
-   shares of its tiles currently resident in the unit's memory — and the
-   memory fit allows on-demand eviction of unpinned tiles.
+   decision loop as [Greedy], but every decision is taken on the
+   *effective* communication time — the task's [comm] minus the shares
+   of its tiles currently resident in the unit's memory — and the memory
+   fit allows on-demand eviction of unpinned tiles.
 
-   Selection mirrors [Dynamic_rules.select] expression for expression
+   Selection mirrors [Candidates.select] expression for expression
    (including the 1e-12 idle tolerance), so on instances without tile
    annotations the whole run is bit-identical to the flat heuristics
    (QCheck-pinned in the test suite). The candidate scan is a plain list

@@ -22,7 +22,7 @@ val select :
   Task.t option
 (** One decision: the best fitting candidate under the criterion applied
     to effective communication times, min-idle filtered like
-    {!Dynamic_rules.select}. *)
+    {!Candidates.select}. *)
 
 val run :
   ?policy:Residency.policy ->

@@ -1,4 +1,4 @@
-type crit = Lcmr | Scmr | Mamr
+type criterion = LCMR | SCMR | MAMR
 
 (* Height-balanced trees (Set-style AVL) over the unscheduled tasks, one
    keyed by (comm, id) and one keyed by (mem, id), sharing a node type
@@ -31,7 +31,7 @@ type tree =
 
 let height = function Leaf -> 0 | Node n -> n.h
 
-(* Same total preorder as Dynamic_rules.better on the MAMR key. *)
+(* Larger acceleration wins, ties to the smaller id. *)
 let better_acc acc_a id_a acc_b id_b =
   let c = Float.compare acc_a acc_b in
   c > 0 || (c = 0 && id_a < id_b)
@@ -248,17 +248,17 @@ type t = {
   mutable byc : tree; (* keyed (comm, id) *)
   mutable bym : tree; (* keyed (mem, id) *)
   mutable n : int;
-  ids : (int, unit) Hashtbl.t;
+  ids : (int, Task.t) Hashtbl.t;
 }
 
 let create () = { byc = Leaf; bym = Leaf; n = 0; ids = Hashtbl.create 64 }
 let size t = t.n
-let mem t id = Hashtbl.mem t.ids id
+let find t id = Hashtbl.find_opt t.ids id
 
 let add t (task : Task.t) =
   if Hashtbl.mem t.ids task.Task.id then
     invalid_arg (Printf.sprintf "Candidates.add: duplicate task id %d" task.Task.id);
-  Hashtbl.replace t.ids task.Task.id ();
+  Hashtbl.replace t.ids task.Task.id task;
   let acc = Task.acceleration task in
   t.byc <- add_t kcmp task acc t.byc;
   t.bym <- add_t mcmp task acc t.bym;
@@ -277,7 +277,7 @@ let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
   match fitting_agg fits t.bym None with
   | None -> None
   | Some a -> (
-      (* the exact expressions of Dynamic_rules.select, so that the
+      (* the exact expressions of the original list scan, so that the
          1e-12 idle tolerance resolves bit-identically *)
       let m = a.lo in
       let idle c = Float.max 0.0 (now +. c -. cpu_free) in
@@ -292,16 +292,16 @@ let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
           (p, not (p a.hi.Task.comm))
       in
       match crit with
-      | Scmr ->
+      | SCMR ->
           (* minimum comm, then minimum id: attains the minimum idle
              time, hence always eligible *)
           Some m
-      | Lcmr ->
+      | LCMR ->
           if not binding then Some a.hi
           else (
             match last_eligible p fits t.byc with
             | None -> assert false (* m itself is eligible and fitting *)
             | Some w -> first_in_group w.Task.comm fits t.byc)
-      | Mamr ->
+      | MAMR ->
           if not binding then Some a.best
           else Option.map fst (best_eligible p fits t.byc None))

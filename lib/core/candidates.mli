@@ -32,15 +32,18 @@
       [(comm, id)] tree and MAMR with a pruned search of the (then
       small) eligible region.
 
-    Every comparison uses the exact float expressions of
-    {!Dynamic_rules.select} and {!Sim.fits_now}, so selections are
-    bit-identical to the original list scans (property-tested). *)
+    Every comparison uses the exact float expressions of the original
+    list scans and of {!Sim.fits_now}, so selections are bit-identical
+    to them (property-tested against a frozen copy). *)
 
 type t
 
-(** The selection criteria, mirroring {!Dynamic_rules.criterion} (which
-    cannot be used here without a dependency cycle). *)
-type crit = Lcmr | Scmr | Mamr
+(** The selection criteria of Section 4.2, re-exported by
+    {!Dynamic_rules}. *)
+type criterion =
+  | LCMR  (** largest communication time *)
+  | SCMR  (** smallest communication time *)
+  | MAMR  (** maximum acceleration, i.e. ratio computation/communication *)
 
 val create : unit -> t
 (** An empty index. *)
@@ -48,8 +51,8 @@ val create : unit -> t
 val size : t -> int
 (** Number of tasks in the index. *)
 
-val mem : t -> int -> bool
-(** Is a task with this id in the index? *)
+val find : t -> int -> Task.t option
+(** The task with this id in the index, if any. *)
 
 val add : t -> Task.t -> unit
 (** Insert a task in O(log n). Raises
@@ -64,15 +67,19 @@ val remove : t -> Task.t -> unit
 val select :
   ?min_idle_filter:bool ->
   t ->
-  crit ->
+  criterion ->
   used:float ->
   kcap:float ->
   cpu_free:float ->
   now:float ->
   Task.t option
-(** The task {!Dynamic_rules.select} would return on the tasks that fit
+(** One decision of the dynamic heuristics. Among the tasks that fit
     under [used +. mem <= kcap] (with [kcap] the tolerance-adjusted
     capacity [capacity *. (1. +. 1e-12)], precomputed by the caller so
-    the test is the exact expression of {!Sim.fits_now}). O(log n) when
-    the minimum-idle filter does not bind (always, for SCMR and with the
+    the test is the exact expression of {!Sim.fits_now}), keep those
+    whose communication, started at [now], induces the least idle time
+    [max 0 (now + comm - cpu_free)] on the processing unit (within
+    [1e-12]; skipped when [min_idle_filter] is [false], default [true]),
+    then apply the criterion, ties by smaller id. O(log n) when the
+    minimum-idle filter does not bind (always, for SCMR and with the
     filter off). [None] iff no task fits. *)

@@ -15,57 +15,19 @@ let criterion = function
   | OOSCMR -> Dynamic_rules.SCMR
   | OOMAMR -> Dynamic_rules.MAMR
 
-(* The static order is held in an array with a skip-removed head cursor
-   (O(n) total head advances), and the pending set doubles as a
-   Candidates index so the correction step selects in O(log n) instead of
-   re-filtering the list: O(n log n) per run where the list version was
-   O(n²). Bit-identical to the frozen reference (property-tested). *)
+(* The position in an explicit order, as a comparator for the loop's
+   static heap. *)
+let rank_compare order =
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun i (t : Task.t) -> Hashtbl.replace rank t.Task.id i) order;
+  fun (a : Task.t) (b : Task.t) ->
+    Int.compare (Hashtbl.find rank a.Task.id) (Hashtbl.find rank b.Task.id)
+
 let run ?state ?order rule instance =
-  let capacity = instance.Instance.capacity in
-  let st = match state with Some s -> s | None -> Sim.initial_state () in
-  let initial =
-    match order with Some o -> o | None -> Johnson.order (Instance.task_list instance)
+  let tasks, static =
+    match order with
+    | Some o -> (o, rank_compare o)
+    | None -> (Instance.task_list instance, Johnson.compare)
   in
-  List.iter
-    (fun t ->
-      if t.Task.mem > capacity *. (1.0 +. 1e-12) then
-        invalid_arg
-          (Printf.sprintf "Corrected_rules.run: task %d needs %g > capacity %g" t.Task.id
-             t.Task.mem capacity))
-    initial;
-  let kcap = capacity *. (1.0 +. 1e-12) in
-  let crit = Dynamic_rules.crit_of (criterion rule) in
-  let arr = Array.of_list initial in
-  let n = Array.length arr in
-  let pos_of_id = Hashtbl.create (2 * n) in
-  Array.iteri (fun i (t : Task.t) -> Hashtbl.replace pos_of_id t.Task.id i) arr;
-  let removed = Array.make n false in
-  let idx = Candidates.create () in
-  Array.iter (Candidates.add idx) arr;
-  let head = ref 0 in
-  let remaining = ref n in
-  let entries = ref [] in
-  let take (t : Task.t) =
-    entries := Sim.schedule_task st ~capacity t :: !entries;
-    Candidates.remove idx t;
-    removed.(Hashtbl.find pos_of_id t.Task.id) <- true;
-    decr remaining
-  in
-  while !remaining > 0 do
-    while removed.(!head) do
-      incr head
-    done;
-    let next = arr.(!head) in
-    Sim.settle st;
-    if Sim.memory_in_use st +. next.Task.mem <= kcap then take next
-    else
-      match
-        Candidates.select idx crit ~used:(Sim.memory_in_use st) ~kcap
-          ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
-      with
-      | Some t -> take t
-      | None ->
-          let advanced = Sim.advance_to_next_release st in
-          assert advanced
-  done;
-  Schedule.make ~capacity (List.rev !entries)
+  Greedy.run ~who:"Corrected_rules.run" ?state ~static ~capacity:instance.Instance.capacity
+    (criterion rule) tasks

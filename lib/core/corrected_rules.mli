@@ -17,6 +17,8 @@ val name : rule -> string
 val criterion : rule -> Dynamic_rules.criterion
 
 val run : ?state:Sim.state -> ?order:Task.t list -> rule -> Instance.t -> Schedule.t
-(** [order] overrides the precomputed static order (default: Johnson's
-    OMIM order); used by ablation benches. Raises [Invalid_argument] if a
-    task alone exceeds the capacity. *)
+(** The {!Greedy} loop under the static order, every task arriving at
+    [0.]. [order] replaces both the instance's tasks and Johnson's OMIM
+    order ({!Johnson.compare}, the default); used by ablation benches.
+    Raises [Invalid_argument] if a task alone exceeds the capacity or two
+    tasks of [order] share an id. *)

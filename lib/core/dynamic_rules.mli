@@ -7,7 +7,7 @@
     remaining task fits, the link stays idle until the next memory-release
     event. Communications and computations keep the same order. *)
 
-type criterion =
+type criterion = Candidates.criterion =
   | LCMR  (** largest communication time *)
   | SCMR  (** smallest communication time *)
   | MAMR  (** maximum acceleration, i.e. ratio computation/communication *)
@@ -15,25 +15,9 @@ type criterion =
 val all : criterion list
 val name : criterion -> string
 
-val crit_of : criterion -> Candidates.crit
-(** The {!Candidates} counterpart of a criterion (that module sits below
-    this one, so it cannot name [criterion] itself). Used by every
-    decision loop built on the incremental candidate index. *)
-
-val select :
-  ?min_idle_filter:bool ->
-  criterion ->
-  cpu_free:float ->
-  now:float ->
-  Task.t list ->
-  Task.t option
-(** Selection among candidate tasks already known to fit in memory:
-    first keep the tasks whose communication, started at [now], induces
-    the least idle time [max 0 (now + comm - cpu_free)] on the processing
-    unit, then apply the criterion (ties by task id). Exposed for tests. *)
-
 val run : ?state:Sim.state -> ?min_idle_filter:bool -> criterion -> Instance.t -> Schedule.t
-(** Raises [Invalid_argument] if a task alone exceeds the capacity.
+(** The {!Greedy} loop without a static order, every task arriving at
+    [0.]. Raises [Invalid_argument] if a task alone exceeds the capacity.
     [min_idle_filter] (default [true]) restricts the selection to tasks
     inducing minimum idle time on the processing unit, as the paper
     specifies; disabling it is an ablation that shows the filter's

@@ -1,161 +1,52 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  id : 'a -> int;
-  mutable data : 'a array;
-  mutable size : int;
-  pos : (int, int) Hashtbl.t; (* element id -> slot in [data] *)
-}
+type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable size : int }
 
-let create ~cmp ~id () = { cmp; id; data = [||]; size = 0; pos = Hashtbl.create 64 }
-
+let create ~cmp = { cmp; data = [||]; size = 0 }
 let size h = h.size
 let is_empty h = h.size = 0
-let mem h id = Hashtbl.mem h.pos id
-
-let find h id =
-  match Hashtbl.find_opt h.pos id with
-  | None -> None
-  | Some i -> Some h.data.(i)
-
-let set h i x =
-  h.data.(i) <- x;
-  Hashtbl.replace h.pos (h.id x) i
-
-let swap h i j =
-  let x = h.data.(i) and y = h.data.(j) in
-  set h i y;
-  set h j x
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.size && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let grow h =
-  if h.size = Array.length h.data then begin
-    let cap = max 8 (2 * h.size) in
-    let data = Array.make cap h.data.(0) in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end
 
 let add h x =
-  let id = h.id x in
-  if Hashtbl.mem h.pos id then
-    invalid_arg (Printf.sprintf "Iheap.add: duplicate id %d" id);
-  if Array.length h.data = 0 then h.data <- Array.make 8 x else grow h;
-  let i = h.size in
-  h.size <- h.size + 1;
-  set h i x;
-  sift_up h i
+  if h.size = Array.length h.data then begin
+    let data = Array.make (max 8 (2 * h.size)) x in
+    Array.blit h.data 0 data 0 h.size;
+    h.data <- data
+  end;
+  (* move the hole at the end up to [x]'s place *)
+  let rec up i =
+    if i = 0 then 0
+    else
+      let p = (i - 1) / 2 in
+      if h.cmp x h.data.(p) < 0 then begin
+        h.data.(i) <- h.data.(p);
+        up p
+      end
+      else i
+  in
+  h.data.(up h.size) <- x;
+  h.size <- h.size + 1
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
-
-(* Remove the element at slot [i]: move the last element in, then restore
-   the order in whichever direction it was violated. *)
-let remove_at h i =
-  let x = h.data.(i) in
-  Hashtbl.remove h.pos (h.id x);
-  h.size <- h.size - 1;
-  if i < h.size then begin
-    set h i h.data.(h.size);
-    sift_up h i;
-    sift_down h i
-  end
 
 let pop h =
   if h.size = 0 then None
   else begin
     let top = h.data.(0) in
-    remove_at h 0;
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      (* move the hole at the root down to the last element's place *)
+      let x = h.data.(n) in
+      let rec down i =
+        let l = (2 * i) + 1 in
+        if l >= n then i
+        else
+          let c = if l + 1 < n && h.cmp h.data.(l + 1) h.data.(l) < 0 then l + 1 else l in
+          if h.cmp h.data.(c) x < 0 then begin
+            h.data.(i) <- h.data.(c);
+            down c
+          end
+          else i
+      in
+      h.data.(down 0) <- x
+    end;
     Some top
   end
-
-let remove h id =
-  match Hashtbl.find_opt h.pos id with
-  | None -> invalid_arg (Printf.sprintf "Iheap.remove: unknown id %d" id)
-  | Some i -> remove_at h i
-
-let update h x =
-  let id = h.id x in
-  match Hashtbl.find_opt h.pos id with
-  | None -> invalid_arg (Printf.sprintf "Iheap.update: unknown id %d" id)
-  | Some i ->
-      set h i x;
-      sift_up h i;
-      sift_down h i
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)
-
-module Fheap = struct
-  type t = { mutable data : float array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-  let size h = h.size
-  let is_empty h = h.size = 0
-
-  let add h x =
-    if h.size = Array.length h.data then begin
-      let cap = max 8 (2 * h.size) in
-      let data = Array.make cap 0.0 in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    h.data.(!i) <- x;
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      h.data.(!i) < h.data.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = h.data.(p) in
-      h.data.(p) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := p
-    done
-
-  let peek h = if h.size = 0 then None else Some h.data.(0)
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.size && h.data.(l) < h.data.(!smallest) then smallest := l;
-          if r < h.size && h.data.(r) < h.data.(!smallest) then smallest := r;
-          if !smallest = !i then continue := false
-          else begin
-            let tmp = h.data.(!smallest) in
-            h.data.(!smallest) <- h.data.(!i);
-            h.data.(!i) <- tmp;
-            i := !smallest
-          end
-        done
-      end;
-      Some top
-    end
-end

@@ -1,65 +1,27 @@
-(** Indexed binary heaps.
+(** Binary min-heaps.
 
-    The decision loops of the dynamic heuristics and of the online engine
-    maintain priority queues whose elements must also be removable (and
-    re-prioritisable) by task id: a task leaves the ready set when it is
-    scheduled, not when it reaches the top of a heap. A side index from
-    element id to heap slot makes [remove] and [update] (decrease-key or
-    increase-key) O(log n) instead of a linear scan.
+    The priority queues of the greedy decision loop ({!Greedy}) and of
+    the cluster event simulator. Elements are only ever consumed from the
+    top: a caller that must retire an element early leaves it in place
+    and drops it when it surfaces.
 
-    Element identity is given by the [id] projection supplied at creation
-    time; ids must be unique among the live elements (duplicates are
-    rejected with [Invalid_argument], see {!add}). The comparator must be
-    a total order; equal elements are served in an unspecified but
-    deterministic order, so callers that need a full tie-break (e.g. by
-    id) must encode it in [cmp]. *)
+    The comparator must be a total preorder; equal elements are served
+    in an unspecified but deterministic order, so callers that need a
+    full tie-break (e.g. by id) must encode it in [cmp]. *)
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> id:('a -> int) -> unit -> 'a t
-(** An empty min-heap under [cmp], indexed by [id]. *)
+val create : cmp:('a -> 'a -> int) -> 'a t
+(** An empty min-heap under [cmp]. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val mem : 'a t -> int -> bool
-(** Is an element with this id currently in the heap? *)
-
-val find : 'a t -> int -> 'a option
-(** The live element with this id, if any. *)
-
 val add : 'a t -> 'a -> unit
-(** O(log n). Raises [Invalid_argument "Iheap.add: duplicate id <id>"]
-    when an element with the same id is already present. *)
+(** O(log n). *)
 
 val peek : 'a t -> 'a option
 (** Smallest element under [cmp], O(1). *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element, O(log n). *)
-
-val remove : 'a t -> int -> unit
-(** Remove the element with this id, O(log n). Raises
-    [Invalid_argument "Iheap.remove: unknown id <id>"] if absent. *)
-
-val update : 'a t -> 'a -> unit
-(** Replace the element whose id equals [id elt] with [elt] and restore
-    the heap order in either direction (decrease-key and increase-key),
-    O(log n). Raises [Invalid_argument "Iheap.update: unknown id <id>"]
-    if absent. *)
-
-val to_list : 'a t -> 'a list
-(** Live elements in unspecified order, O(n). *)
-
-(** Plain binary min-heap over floats (no ids, no removal): the lightest
-    structure for next-event queues where only the minimum is consumed. *)
-module Fheap : sig
-  type t
-
-  val create : unit -> t
-  val size : t -> int
-  val is_empty : t -> bool
-  val add : t -> float -> unit
-  val peek : t -> float option
-  val pop : t -> float option
-end

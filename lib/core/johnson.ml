@@ -1,14 +1,15 @@
-let order tasks =
-  let s1, s2 = List.partition Task.is_compute_intensive tasks in
-  let by_comm a b =
-    let c = Float.compare a.Task.comm b.Task.comm in
-    if c <> 0 then c else Task.compare_id a b
-  in
-  let by_comp_desc a b =
-    let c = Float.compare b.Task.comp a.Task.comp in
-    if c <> 0 then c else Task.compare_id a b
-  in
-  List.sort by_comm s1 @ List.sort by_comp_desc s2
+let compare (a : Task.t) (b : Task.t) =
+  match (Task.is_compute_intensive a, Task.is_compute_intensive b) with
+  | true, false -> -1
+  | false, true -> 1
+  | ci, _ ->
+      let c =
+        if ci then Float.compare a.Task.comm b.Task.comm
+        else Float.compare b.Task.comp a.Task.comp
+      in
+      if c <> 0 then c else Task.compare_id a b
+
+let order tasks = List.sort compare tasks
 
 let omim_schedule tasks = Sim.run_order_exn ~capacity:Float.infinity (order tasks)
 

@@ -26,36 +26,12 @@ let admission_to_string = function
   | Rejected_queue_full n -> Printf.sprintf "queue full (limit %d)" n
   | Rejected_too_big c -> Printf.sprintf "task exceeds capacity %g" c
 
-type arrival_item = { arr : float; task : Task.t }
-
-let arrival_cmp a b =
-  let c = Float.compare a.arr b.arr in
-  if c <> 0 then c else Task.compare_id a.task b.task
-
-(* Johnson's order over a set is (compute-intensive tasks by comm asc,
-   id asc) followed by (the rest by comp desc, id asc); its head is
-   therefore the top of one of two heaps, maintained incrementally under
-   arrivals and removals instead of re-sorting the arrived suffix at
-   every decision point. *)
-let johnson1_cmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.comm b.Task.comm in
-  if c <> 0 then c else Task.compare_id a b
-
-let johnson2_cmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare b.Task.comp a.Task.comp in
-  if c <> 0 then c else Task.compare_id a b
-
 type t = {
   capacity : float;
-  kcap : float; (* capacity *. (1. +. 1e-12), the Sim.fits_now bound *)
   policy : policy;
-  use_johnson : bool;
   queue_limit : int;
   st : Sim.state;
-  future : arrival_item Iheap.t; (* not yet arrived, keyed by (arrival, id) *)
-  cand : Candidates.t; (* arrived, unscheduled: indexed selection *)
-  j1 : Task.t Iheap.t; (* arrived compute-intensive tasks, (comm, id) *)
-  j2 : Task.t Iheap.t; (* arrived comm-intensive tasks, (comp desc, id) *)
+  loop : Greedy.t;
   mutable n_pending : int;
   mutable n_scheduled : int;
   mutable n_rejected : int;
@@ -71,18 +47,20 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
   if not (Float.is_finite capacity) then
     invalid_arg "Engine.create: capacity must be finite";
   if queue_limit <= 0 then invalid_arg "Engine.create: queue_limit must be positive";
-  let task_id (t : Task.t) = t.Task.id in
+  let st = Sim.initial_state () in
+  let loop =
+    match policy with
+    | Dynamic c -> Greedy.create ~state:st ~capacity c
+    | Corrected r ->
+        Greedy.create ~state:st ~static:Johnson.compare ~capacity
+          (Corrected_rules.criterion r)
+  in
   {
     capacity;
-    kcap = capacity *. (1.0 +. 1e-12);
     policy;
-    use_johnson = (match policy with Corrected _ -> true | Dynamic _ -> false);
     queue_limit;
-    st = Sim.initial_state ();
-    future = Iheap.create ~cmp:arrival_cmp ~id:(fun it -> it.task.Task.id) ();
-    cand = Candidates.create ();
-    j1 = Iheap.create ~cmp:johnson1_cmp ~id:task_id ();
-    j2 = Iheap.create ~cmp:johnson2_cmp ~id:task_id ();
+    st;
+    loop;
     n_pending = 0;
     n_scheduled = 0;
     n_rejected = 0;
@@ -111,105 +89,23 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
     Rejected_queue_full t.queue_limit
   end
   else begin
-    (* the indexed structures cannot hold two live tasks with one id (the
-       old list code silently dropped both on removal); reject up front *)
-    if Iheap.mem t.future task.Task.id || Candidates.mem t.cand task.Task.id then
+    if Greedy.mem t.loop task.Task.id then
       invalid_arg
         (Printf.sprintf "Engine.submit: duplicate pending task id %d" task.Task.id);
-    Iheap.add t.future { arr = arrival; task };
+    Greedy.add t.loop ~arrival task;
     t.n_pending <- t.n_pending + 1;
     Accepted
-  end
-
-(* Move every task whose arrival has been reached into the arrived
-   structures: the candidate index and, under a Corrected policy, the
-   Johnson head heaps. O(log n) per arrival instead of a list append. *)
-let promote t =
-  let time = Sim.link_free_time t.st in
-  let rec loop () =
-    match Iheap.peek t.future with
-    | Some it when it.arr <= time ->
-        ignore (Iheap.pop t.future);
-        Candidates.add t.cand it.task;
-        if t.use_johnson then
-          if Task.is_compute_intensive it.task then Iheap.add t.j1 it.task
-          else Iheap.add t.j2 it.task;
-        loop ()
-    | _ -> ()
-  in
-  loop ()
-
-let take_task t (task : Task.t) =
-  let entry = Sim.schedule_task t.st ~capacity:t.capacity task in
-  Candidates.remove t.cand task;
-  if t.use_johnson then
-    if Task.is_compute_intensive task then Iheap.remove t.j1 task.Task.id
-    else Iheap.remove t.j2 task.Task.id;
-  t.entries <- entry :: t.entries;
-  t.fresh <- entry :: t.fresh;
-  t.n_pending <- t.n_pending - 1;
-  t.n_scheduled <- t.n_scheduled + 1
-
-(* One decision point: schedule a task, or advance virtual time to the
-   next event, or report starvation (nothing submitted is left). *)
-let rec step t =
-  Sim.settle t.st;
-  promote t;
-  if Candidates.size t.cand = 0 then
-    match Iheap.peek t.future with
-    | None -> false
-    | Some it ->
-        Sim.advance_link_to t.st it.arr;
-        step t
-  else begin
-    let fits (task : Task.t) = Sim.memory_in_use t.st +. task.Task.mem <= t.kcap in
-    let select criterion =
-      Candidates.select t.cand (Dynamic_rules.crit_of criterion)
-        ~used:(Sim.memory_in_use t.st) ~kcap:t.kcap
-        ~cpu_free:(Sim.cpu_free_time t.st) ~now:(Sim.link_free_time t.st)
-    in
-    let choice =
-      match t.policy with
-      | Dynamic criterion -> select criterion
-      | Corrected rule -> (
-          let head =
-            match Iheap.peek t.j1 with Some _ as x -> x | None -> Iheap.peek t.j2
-          in
-          match head with
-          | Some next when fits next -> Some next
-          | _ -> select (Corrected_rules.criterion rule))
-    in
-    match choice with
-    | Some task ->
-        take_task t task;
-        true
-    | None -> (
-        (* nothing arrived fits: advance to the earlier of the next
-           memory release and the next arrival *)
-        let next_arrival = Option.map (fun it -> it.arr) (Iheap.peek t.future) in
-        match (Sim.next_release_time t.st, next_arrival) with
-        | None, None ->
-            (* every arrived task fits the capacity alone, so with no
-               memory held something must fit *)
-            assert false
-        | Some r, Some a when a < r ->
-            Sim.advance_link_to t.st a;
-            step t
-        | Some _, _ ->
-            let advanced = Sim.advance_to_next_release t.st in
-            assert advanced;
-            step t
-        | None, Some a ->
-            Sim.advance_link_to t.st a;
-            step t)
   end
 
 let schedule t = Schedule.make ~capacity:t.capacity (List.rev t.entries)
 
 let drain t =
-  while step t do
-    ()
-  done;
+  let fresh = Greedy.drain t.loop in
+  let n = List.length fresh in
+  t.entries <- List.rev_append fresh t.entries;
+  t.fresh <- List.rev_append fresh t.fresh;
+  t.n_pending <- t.n_pending - n;
+  t.n_scheduled <- t.n_scheduled + n;
   schedule t
 
 let take_new_entries t =

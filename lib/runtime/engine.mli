@@ -15,11 +15,12 @@
     - {b clairvoyant degeneration}: when every arrival time is [0.] the
       engine reproduces the corresponding offline schedule bit for bit —
       [Dynamic c] matches {!Dt_core.Dynamic_rules.run}[ c], and
-      [Corrected r] matches {!Dt_core.Corrected_rules.run}[ r] (the
-      online variant re-runs Johnson's algorithm on the known suffix at
-      every decision point; on a subset of the full task set Johnson's
-      order is the induced subsequence of the full order, so the two
-      coincide). This is property-tested.
+      [Corrected r] matches {!Dt_core.Corrected_rules.run}[ r]. Both
+      sides are the same {!Dt_core.Greedy} loop; the offline rules add
+      every task at arrival [0.]. (On a subset of the tasks Johnson's
+      order is the induced subsequence of the full order, so the head
+      of the arrived tasks under {!Dt_core.Johnson.compare} is the
+      online reading of the corrected rules.) This is property-tested.
     - {b admission control}: a task whose memory requirement alone
       exceeds the capacity is rejected rather than accepted-and-stuck,
       and the pending queue is bounded, exposing backpressure to the
@@ -66,8 +67,7 @@ val submit : t -> ?arrival:float -> Dt_core.Task.t -> admission
     both leave the engine untouched. A task whose id equals that of a
     pending (submitted, not yet scheduled) task is a programming error
     and raises [Invalid_argument "Engine.submit: duplicate pending task
-    id <id>"] — the old list-based engine silently dropped both copies on
-    removal instead. Ids of already-scheduled tasks may be reused. An
+    id <id>"]. Ids of already-scheduled tasks may be reused. An
     accepted task becomes visible to the scheduler only once virtual time
     reaches its arrival. O(log n) per submission, arrivals in any
     order. *)

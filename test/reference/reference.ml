@@ -1,8 +1,10 @@
-(* Frozen pre-rewrite implementations of the decision loops, used by the
-   core-scaling experiment to record the "before" numbers the rewritten
-   O(n log n) paths are compared against. Keep verbatim: its value is
-   that it does not change. (The test suite pins bit-identical behaviour
-   against the same frozen code in test/reference.ml.) *)
+(* Frozen quadratic implementations of the decision loops, kept verbatim
+   as the behavioural reference: the O(n log n) loop must produce
+   bit-identical schedules, which Test_equiv pins with QCheck properties
+   against these copies, and the core-scaling bench times them as its
+   "before" numbers. Do not "fix" or modernise this file — its value is
+   that it does not change. *)
+
 open Dt_core
 
 (* Old Dynamic_rules: full re-filter and re-scan of the remaining list at

@@ -1,8 +1,8 @@
-(* Equivalence pinning for the O(n log n) decision-loop rewrite: the
-   incremental implementations (Candidates index, arrival heap,
-   incremental Johnson order) must produce bit-identical schedules to the
-   frozen pre-rewrite copies in Reference, on every policy, with and
-   without the min-idle filter, and under random arrival times. *)
+(* Equivalence pinning for the O(n log n) decision loop: the shared
+   greedy loop (Candidates index, arrival heap, static-order heap) must
+   produce bit-identical schedules to the frozen quadratic copies in
+   Reference, on every policy, with and without the min-idle filter, and
+   under random arrival times. *)
 
 open Dt_core
 module Engine = Dt_runtime.Engine
@@ -92,6 +92,128 @@ let reversed_replay_prop =
       in
       same_schedule (run pairs) (run (List.rev pairs)))
 
+(* The loop's paths that the pins above do not reach: an explicit static
+   order (the order ablation), a non-zero starting state (batch
+   chaining), and an engine session that goes on after a drain with
+   reused ids. *)
+
+let pinned_prop ~name ~print gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name ~print gen prop)
+
+let order_gen =
+  QCheck2.Gen.(
+    let* i = instance_gen in
+    let* order = shuffle_l (Instance.task_list i) in
+    return (i, order))
+
+let order_print (i, order) =
+  Printf.sprintf "%s order=[%s]" (Generators.instance_print i)
+    (String.concat "; " (List.map (fun (t : Task.t) -> string_of_int t.Task.id) order))
+
+let corrected_order_prop rule =
+  pinned_prop
+    ~name:
+      (Printf.sprintf "Corrected %s with ?order = reference, bit for bit"
+         (Corrected_rules.name rule))
+    ~print:order_print order_gen
+    (fun (i, order) ->
+      same_schedule (Corrected_rules.run ~order rule i) (Reference.Cor.run ~order rule i))
+
+(* A state handed over from an earlier batch: the link and the processor
+   busy for a while, and up to two tasks still holding memory, released
+   no later than the processor frees up. *)
+let state_gen =
+  QCheck2.Gen.(
+    let quarter hi = map (fun x -> float_of_int x /. 4.0) (int_range 0 hi) in
+    let* i = instance_gen in
+    let* link_free = quarter 40 in
+    let* cpu_free = map (( +. ) link_free) (quarter 40) in
+    let* held =
+      list_size (int_range 0 2)
+        (pair
+           (map (fun k -> cpu_free *. float_of_int k /. 8.0) (int_range 0 8))
+           (map (fun k -> i.Instance.capacity *. float_of_int k /. 8.0) (int_range 1 4)))
+    in
+    return (i, (link_free, cpu_free, held)))
+
+let state_print (i, (link_free, cpu_free, held)) =
+  Printf.sprintf "%s link_free=%g cpu_free=%g held=[%s]" (Generators.instance_print i)
+    link_free cpu_free
+    (String.concat "; " (List.map (fun (t, m) -> Printf.sprintf "(%g, %g)" t m) held))
+
+let restored (link_free, cpu_free, held) = Sim.restore_state ~link_free ~cpu_free ~held
+
+let dynamic_state_prop =
+  pinned_prop ~name:"Dynamic from a restored state = reference, bit for bit"
+    ~print:state_print state_gen (fun (i, s) ->
+      let st = restored s in
+      List.for_all
+        (fun c ->
+          List.for_all
+            (fun filter ->
+              same_schedule
+                (Dynamic_rules.run ~state:(Sim.copy_state st) ~min_idle_filter:filter c i)
+                (Reference.Dyn.run ~state:(Sim.copy_state st) ~min_idle_filter:filter c i))
+            [ true; false ])
+        Dynamic_rules.all)
+
+let corrected_state_prop =
+  pinned_prop ~name:"Corrected from a restored state = reference, bit for bit"
+    ~print:state_print state_gen (fun (i, s) ->
+      let st = restored s in
+      List.for_all
+        (fun r ->
+          same_schedule
+            (Corrected_rules.run ~state:(Sim.copy_state st) r i)
+            (Reference.Cor.run ~state:(Sim.copy_state st) r i))
+        Corrected_rules.all)
+
+(* A second batch drawn like the first, so its ids 0.. reuse the first
+   batch's, with arrivals within 10 time units on either side of the
+   engine's clock after the first drain. *)
+let two_batch_gen =
+  QCheck2.Gen.(
+    let* first = online_gen in
+    let* i2 = instance_gen in
+    let* offsets =
+      list_repeat (Instance.size i2)
+        (map (fun x -> float_of_int x /. 4.0) (int_range (-40) 40))
+    in
+    return (first, (i2, offsets)))
+
+let two_batch_print (first, (i2, offsets)) =
+  Printf.sprintf "first: %s second: %s offsets=[%s]" (online_print first)
+    (Generators.instance_print i2)
+    (String.concat "; " (List.map (Printf.sprintf "%g") offsets))
+
+let engine_two_batch_prop policy =
+  pinned_prop
+    ~name:
+      (Printf.sprintf "Engine %s, two batches with reused ids = reference, bit for bit"
+         (Engine.policy_name policy))
+    ~print:two_batch_print two_batch_gen
+    (fun ((i1, arrivals), (i2, offsets)) ->
+      let capacity = Float.max i1.Instance.capacity i2.Instance.capacity in
+      let eng = Engine.create ~policy ~capacity () in
+      let reference = Reference.Eng.create ~policy ~capacity () in
+      let submit_all tasks arrivals =
+        List.iter2
+          (fun task arrival ->
+            (match Engine.submit eng ~arrival task with
+            | Engine.Accepted -> ()
+            | a ->
+                QCheck2.Test.fail_reportf "submission not accepted: %s"
+                  (Engine.admission_to_string a));
+            Reference.Eng.submit reference ~arrival task)
+          tasks arrivals
+      in
+      submit_all (Instance.task_list i1) arrivals;
+      let first = same_schedule (Engine.drain eng) (Reference.Eng.drain reference) in
+      let now = Engine.now eng in
+      submit_all (Instance.task_list i2)
+        (List.map (fun d -> Float.max 0.0 (now +. d)) offsets);
+      first && same_schedule (Engine.drain eng) (Reference.Eng.drain reference))
+
 let duplicate_order_rejected () =
   let t0 = Task.make ~id:0 ~comm:1.0 ~comp:1.0 ()
   and t0' = Task.make ~id:0 ~comm:2.0 ~comp:1.0 () in
@@ -125,6 +247,9 @@ let suite =
       List.map corrected_prop Corrected_rules.all;
       List.map engine_prop Engine.all_policies;
       [ reversed_replay_prop ];
+      List.map corrected_order_prop Corrected_rules.all;
+      [ dynamic_state_prop; corrected_state_prop ];
+      List.map engine_two_batch_prop Engine.all_policies;
       [
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick

@@ -55,7 +55,12 @@ let dynamic_select_min_idle_first () =
      LCMR when a small task keeps the pipeline busy. *)
   let small = Task.make ~id:0 ~comm:1.0 ~comp:5.0 ()
   and big = Task.make ~id:1 ~comm:9.0 ~comp:5.0 () in
-  match Dynamic_rules.select Dynamic_rules.LCMR ~cpu_free:0.0 ~now:0.0 [ small; big ] with
+  let idx = Candidates.create () in
+  List.iter (Candidates.add idx) [ small; big ];
+  match
+    Candidates.select idx Dynamic_rules.LCMR ~used:0.0 ~kcap:Float.infinity ~cpu_free:0.0
+      ~now:0.0
+  with
   | Some t -> Alcotest.(check int) "picks the min-idle task" 0 t.Task.id
   | None -> Alcotest.fail "no selection"
 

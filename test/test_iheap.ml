@@ -1,9 +1,9 @@
-(* Unit tests of the indexed binary heap (and the float min-heap) that
-   the O(n log n) decision loops are built on. *)
+(* Unit tests of the binary min-heap that the greedy decision loop and
+   the cluster event simulator are built on. *)
 
 open Dt_core
 
-let int_heap () = Iheap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~id:snd ()
+let int_heap () = Iheap.create ~cmp:(fun (a, _) (b, _) -> compare a b)
 
 let drain_order () =
   let h = int_heap () in
@@ -12,44 +12,6 @@ let drain_order () =
   let rec drain acc = match Iheap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc) in
   Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain []);
   Alcotest.(check bool) "empty after drain" true (Iheap.is_empty h)
-
-let decrease_key () =
-  let h = int_heap () in
-  List.iter (fun k -> Iheap.add h (k, k)) [ 10; 20; 30; 40 ];
-  Iheap.update h (5, 40);
-  (match Iheap.peek h with
-  | Some (5, 40) -> ()
-  | Some (k, id) -> Alcotest.failf "top is (%d, %d), wanted (5, 40)" k id
-  | None -> Alcotest.fail "empty heap");
-  (* increase-key sifts in the other direction *)
-  Iheap.update h (50, 40);
-  (match Iheap.peek h with
-  | Some (10, 10) -> ()
-  | Some (k, id) -> Alcotest.failf "top is (%d, %d), wanted (10, 10)" k id
-  | None -> Alcotest.fail "empty heap");
-  Alcotest.(check int) "size unchanged by updates" 4 (Iheap.size h)
-
-let remove_by_id () =
-  let h = int_heap () in
-  List.iter (fun k -> Iheap.add h (k, k)) [ 3; 1; 4; 1 + 10; 5 ];
-  Iheap.remove h 4;
-  Iheap.remove h 1;
-  Alcotest.(check bool) "removed ids gone" false (Iheap.mem h 4 || Iheap.mem h 1);
-  let rec drain acc = match Iheap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc) in
-  Alcotest.(check (list int)) "remaining drain sorted" [ 3; 5; 11 ] (drain []);
-  Alcotest.check_raises "remove unknown id" (Invalid_argument "Iheap.remove: unknown id 99")
-    (fun () -> Iheap.remove (int_heap ()) 99)
-
-let duplicate_id () =
-  let h = int_heap () in
-  Iheap.add h (1, 7);
-  Alcotest.check_raises "duplicate id rejected" (Invalid_argument "Iheap.add: duplicate id 7")
-    (fun () -> Iheap.add h (2, 7));
-  Alcotest.(check int) "failed add leaves the heap intact" 1 (Iheap.size h);
-  (* after removal the id is free again *)
-  Iheap.remove h 7;
-  Iheap.add h (2, 7);
-  Alcotest.(check bool) "re-added" true (Iheap.mem h 7)
 
 let heap_vs_sort =
   QCheck_alcotest.to_alcotest
@@ -63,23 +25,8 @@ let heap_vs_sort =
          in
          drain [] = List.sort compare keys))
 
-let fheap () =
-  let h = Iheap.Fheap.create () in
-  Alcotest.(check (option (float 0.0))) "empty peek" None (Iheap.Fheap.peek h);
-  List.iter (Iheap.Fheap.add h) [ 3.5; 1.25; 2.0; 0.5; 9.0; 0.5 ];
-  Alcotest.(check int) "size" 6 (Iheap.Fheap.size h);
-  let rec drain acc =
-    match Iheap.Fheap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list (float 0.0)))
-    "sorted drain with duplicates" [ 0.5; 0.5; 1.25; 2.0; 3.5; 9.0 ] (drain [])
-
 let suite =
   [
     Alcotest.test_case "drain order" `Quick drain_order;
-    Alcotest.test_case "decrease-key / increase-key" `Quick decrease_key;
-    Alcotest.test_case "remove by id" `Quick remove_by_id;
-    Alcotest.test_case "duplicate id rejection" `Quick duplicate_id;
     heap_vs_sort;
-    Alcotest.test_case "float min-heap" `Quick fheap;
   ]

@@ -102,4 +102,30 @@ let prop_lemma1 =
            finish cma cpa cmb cpb <= finish cmb cpb cma cpa +. 1e-9
          end))
 
-let suite = suite @ [ prop_lemma1 ]
+(* Johnson.order is a sort by Johnson.compare; pin it against Algorithm 1
+   as printed (split, then sort each group) on lists whose small integer
+   durations tie often. *)
+let prop_order_two_groups =
+  let gen =
+    QCheck2.Gen.(
+      let dur = map float_of_int (int_range 0 3) in
+      let* pairs = list_size (int_range 0 30) (pair dur dur) in
+      shuffle_l (List.mapi (fun id (comm, comp) -> Task.make ~id ~comm ~comp ()) pairs))
+  in
+  let print tasks = String.concat "; " (List.map (Format.asprintf "%a" Task.pp) tasks) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"order = split then sort each group" ~print gen
+       (fun tasks ->
+         let s1, s2 = List.partition Task.is_compute_intensive tasks in
+         let by_comm (a : Task.t) (b : Task.t) =
+           let c = Float.compare a.Task.comm b.Task.comm in
+           if c <> 0 then c else Task.compare_id a b
+         in
+         let by_comp_desc (a : Task.t) (b : Task.t) =
+           let c = Float.compare b.Task.comp a.Task.comp in
+           if c <> 0 then c else Task.compare_id a b
+         in
+         List.equal ( == ) (Johnson.order tasks)
+           (List.sort by_comm s1 @ List.sort by_comp_desc s2)))
+
+let suite = suite @ [ prop_lemma1; prop_order_two_groups ]
