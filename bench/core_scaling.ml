@@ -9,16 +9,22 @@
                     them, so the arrived backlog grows and the old
                     per-step Johnson re-sort is maximally exposed).
 
+     cached         the evict-aware loop (Cached_rules, SCMR+lru) on the
+                    reuse sweep's task stream at reuse factor 4, against
+                    the frozen list scan.
+
    Emits BENCH_core.json: before/after wall-clock per size plus the
    fitted scaling exponent of the new code (log-log least squares); the
    exponent is the regression tripwire — a return to linear scans shows
    up as an exponent near 2.  "Before" runs are capped at 50k tasks
-   (the quadratic online drain already takes minutes there); the new
-   code runs the full grid.
+   (the quadratic online drain already takes minutes there), 5k for
+   the cached loop (whose list scan takes ~6 s there); the new code runs
+   the full grid.
 
    `core-smoke` is the CI guard: the 5k-task offline sweep plus online
-   drain must finish under DTSCHED_SMOKE_BUDGET seconds (default 2.0) —
-   a budget the quadratic code cannot meet. *)
+   drain, and the 5k-task cached run, must each finish under
+   DTSCHED_SMOKE_BUDGET seconds (default 2.0) — a budget the quadratic
+   code cannot meet. *)
 
 open Dt_core
 module Engine = Dt_runtime.Engine
@@ -105,6 +111,18 @@ let online_before ~capacity ~spacing tasks =
     tasks;
   Schedule.makespan (Reference.Eng.drain eng)
 
+let cached_reuse = 4.0
+let cached_before_cap = 5_000
+
+let cached_run run n =
+  let instance, _ = Reuse.instance ~n cached_reuse in
+  fun () ->
+    let sched, stats = run ~policy:Residency.Lru Dynamic_rules.SCMR instance in
+    (Schedule.makespan sched, stats)
+
+let cached_after = cached_run (fun ~policy c i -> Cached_rules.run ~policy c i)
+let cached_before = cached_run (fun ~policy c i -> Reference.Cached.run ~policy c i)
+
 (* Least-squares slope of log t over log n: the empirical scaling
    exponent. *)
 let fit_exponent points =
@@ -126,6 +144,8 @@ type point = {
   offline_after_s : float;
   online_before_s : float option;
   online_after_s : float;
+  cached_before_s : float option;
+  cached_after_s : float;
 }
 
 let measure ~before_cap n =
@@ -157,12 +177,30 @@ let measure ~before_cap n =
       (Some ob, Some nb)
     end
   in
-  Printf.printf "  n=%-6d offline %s -> %.3fs   online %s -> %.3fs\n%!" n
-    (match offline_before_s with Some s -> Printf.sprintf "%.3fs" s | None -> "(skip)")
-    offline_after_s
-    (match online_before_s with Some s -> Printf.sprintf "%.3fs" s | None -> "(skip)")
+  let cached_after_r, cached_after_s = best_of reps (cached_after n) in
+  let cached_before_s =
+    if n > Int.min before_cap cached_before_cap then None
+    else begin
+      (* one run: the list scan takes seconds at 5k tasks *)
+      let before_r, cb = best_of (if n <= 1_000 then 3 else 1) (cached_before n) in
+      if cached_after_r <> before_r then
+        failwith "core bench: cached makespan or cache stats diverged from the frozen reference";
+      Some cb
+    end
+  in
+  let pp_opt = function Some s -> Printf.sprintf "%.3fs" s | None -> "(skip)" in
+  Printf.printf "  n=%-6d offline %s -> %.3fs   online %s -> %.3fs   cached %s -> %.3fs\n%!"
+    n (pp_opt offline_before_s) offline_after_s (pp_opt online_before_s) online_after_s
+    (pp_opt cached_before_s) cached_after_s;
+  {
+    n;
+    offline_before_s;
+    offline_after_s;
+    online_before_s;
     online_after_s;
-  { n; offline_before_s; offline_after_s; online_before_s; online_after_s }
+    cached_before_s;
+    cached_after_s;
+  }
 
 let speedup_at points get_before get_after =
   List.fold_left
@@ -185,32 +223,41 @@ let run () =
     fit_exponent (List.map (fun p -> (p.n, p.offline_after_s)) points)
   in
   let exp_online = fit_exponent (List.map (fun p -> (p.n, p.online_after_s)) points) in
+  let exp_cached = fit_exponent (List.map (fun p -> (p.n, p.cached_after_s)) points) in
   let sp_offline = speedup_at points (fun p -> p.offline_before_s) (fun p -> p.offline_after_s) in
   let sp_online = speedup_at points (fun p -> p.online_before_s) (fun p -> p.online_after_s) in
+  let sp_cached = speedup_at points (fun p -> p.cached_before_s) (fun p -> p.cached_after_s) in
   let pp_speedup = function
     | Some (n, f) -> Printf.sprintf "%.1fx at n=%d" f n
     | None -> "-"
   in
   Printf.printf
-    "\nfitted exponent (after): offline %.2f, online %.2f; speedup: offline %s, online %s\n"
-    exp_offline exp_online (pp_speedup sp_offline) (pp_speedup sp_online);
+    "\nfitted exponent (after): offline %.2f, online %.2f, cached %.2f; speedup: offline \
+     %s, online %s, cached %s\n"
+    exp_offline exp_online exp_cached (pp_speedup sp_offline) (pp_speedup sp_online)
+    (pp_speedup sp_cached);
   Provenance.write_artifact ~path:"BENCH_core.json" ~experiment:"core-scaling"
     (fun oc ->
       Reuse.fields oc;
       Printf.fprintf oc
         "  \"fast_mode\": %b,\n  \"offline_policies\": %d,\n\
-        \  \"online_policy\": \"%s\",\n  \"arrival_load\": 2.0,\n  \"points\": [\n"
+        \  \"online_policy\": \"%s\",\n  \"arrival_load\": 2.0,\n\
+        \  \"cached_policy\": \"%s\",\n  \"cached_reuse_factor\": %.1f,\n  \"points\": [\n"
         Data.fast
         (List.length offline_policies)
-        (Engine.policy_name online_policy);
+        (Engine.policy_name online_policy)
+        (Cached_rules.name Residency.Lru Dynamic_rules.SCMR)
+        cached_reuse;
       let last = List.length points - 1 in
       List.iteri
         (fun i p ->
           Printf.fprintf oc
             "    { \"n\": %d, \"offline_before_s\": %s, \"offline_after_s\": %.6f, \
-             \"online_before_s\": %s, \"online_after_s\": %.6f }%s\n"
+             \"online_before_s\": %s, \"online_after_s\": %.6f, \
+             \"cached_before_s\": %s, \"cached_after_s\": %.6f }%s\n"
             p.n (json_opt p.offline_before_s) p.offline_after_s
             (json_opt p.online_before_s) p.online_after_s
+            (json_opt p.cached_before_s) p.cached_after_s
             (if i = last then "" else ","))
         points;
       let pp_speedup_json oc = function
@@ -218,13 +265,16 @@ let run () =
         | None -> output_string oc "null"
       in
       Printf.fprintf oc
-        "  ],\n  \"fitted_exponent_after\": { \"offline\": %.3f, \"online\": %.3f },\n"
-        exp_offline exp_online;
-      Printf.fprintf oc "  \"speedup\": { \"offline\": %a, \"online\": %a }\n"
-        pp_speedup_json sp_offline pp_speedup_json sp_online)
+        "  ],\n  \"fitted_exponent_after\": { \"offline\": %.3f, \"online\": %.3f, \
+         \"cached\": %.3f },\n"
+        exp_offline exp_online exp_cached;
+      Printf.fprintf oc
+        "  \"speedup\": { \"offline\": %a, \"online\": %a, \"cached\": %a }\n"
+        pp_speedup_json sp_offline pp_speedup_json sp_online pp_speedup_json sp_cached)
 
 (* CI tripwire: 5k tasks through the full offline sweep plus the online
-   drain, under a wall-clock budget the quadratic code cannot meet. *)
+   drain, and 5k through the cached loop, each under a wall-clock budget
+   the quadratic code cannot meet. *)
 let smoke () =
   let budget =
     match Sys.getenv_opt "DTSCHED_SMOKE_BUDGET" with
@@ -240,8 +290,13 @@ let smoke () =
     wall (fun () ->
         (offline_after instance, online_after ~capacity ~spacing tasks))
   in
+  let verdict elapsed = if elapsed <= budget then "PASS" else "FAIL" in
   Printf.printf
-    "core-smoke: %d-task offline sweep + online drain in %.3fs (budget %.1fs): %s\n"
-    n elapsed budget
-    (if elapsed <= budget then "PASS" else "FAIL");
-  if elapsed > budget then exit 1
+    "core-smoke: %d-task offline sweep + online drain in %.3fs (budget %.1fs): %s\n%!"
+    n elapsed budget (verdict elapsed);
+  let run_cached = cached_after n in
+  let _, cached_elapsed = wall run_cached in
+  Printf.printf "core-smoke: %d-task cached %s at R=%g in %.3fs (budget %.1fs): %s\n" n
+    (Cached_rules.name Residency.Lru Dynamic_rules.SCMR)
+    cached_reuse cached_elapsed budget (verdict cached_elapsed);
+  if elapsed > budget || cached_elapsed > budget then exit 1

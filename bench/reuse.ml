@@ -65,13 +65,17 @@ let hit_rate_of (s : Residency.stats) =
   let total = s.Residency.hits + s.Residency.misses in
   if total = 0 then 0.0 else float_of_int s.Residency.hits /. float_of_int total
 
-let measure ~n reuse =
+(* The n-task stream at reuse factor R, and its pool size. *)
+let instance ~n reuse =
   let pool = max tiles_per_task (int_of_float (float_of_int (n * tiles_per_task) /. reuse)) in
   let rng = Dt_stats.Rng.create (20190805 + pool) in
   let pool_bytes = make_pool rng ~pool in
   let tasks = make_tasks rng ~n ~pool_bytes in
-  let capacity = capacity_for tasks in
-  let instance = Instance.make_keep_ids ~capacity tasks in
+  (Instance.make_keep_ids ~capacity:(capacity_for tasks) tasks, pool)
+
+let measure ~n reuse =
+  let instance, pool = instance ~n reuse in
+  let capacity = instance.Instance.capacity in
   let baseline = Dynamic_rules.run Dynamic_rules.SCMR instance in
   let no_sharing_ms = Schedule.makespan baseline in
   let order = List.map (fun (e : Schedule.entry) -> e.Schedule.task) (Schedule.entries baseline) in

@@ -4,34 +4,32 @@
     Each decision is taken on the {e effective} communication time — the
     task's [comm] minus the shares of its currently-resident tiles — and
     the memory fit test allows on-demand eviction of unpinned tiles
-    ({!Sim.cached_fits_now}). On instances without tile annotations every
-    run is bit-identical to the corresponding {!Dynamic_rules.run}
-    (QCheck-pinned). *)
+    ({!Sim.cached_fits_now}), min-idle filtered like
+    {!Candidates.select}.
+
+    The unscheduled tasks with no resident input tile ("cold") sit in a
+    {!Candidates} index, where their effective values are their static
+    ones bit for bit; the others ("warm") are scanned. Scheduling a task
+    warms up the readers of its input and output tiles; a warm task found
+    with no resident input tile returns to the index. A decision costs
+    O(log n) plus the warm set, against O(n) tile lookups for a scan of
+    all remaining tasks, and takes the same decision as that scan
+    (QCheck-pinned against a frozen copy of it). On instances without
+    tile annotations every run is bit-identical to the corresponding
+    {!Dynamic_rules.run} (QCheck-pinned). *)
 
 val name : Residency.policy -> Dynamic_rules.criterion -> string
 (** E.g. ["SCMR+lru"], ["LCMR+min-refetch"]. *)
 
-val select :
-  ?min_idle_filter:bool ->
-  Dynamic_rules.criterion ->
-  cstate:Sim.cached_state ->
-  kcap:float ->
-  cpu_free:float ->
-  now:float ->
-  Task.t list ->
-  Task.t option
-(** One decision: the best fitting candidate under the criterion applied
-    to effective communication times, min-idle filtered like
-    {!Candidates.select}. *)
-
 val run :
   ?policy:Residency.policy ->
-  ?cstate:Sim.cached_state ->
   ?min_idle_filter:bool ->
   Dynamic_rules.criterion ->
   Instance.t ->
   Schedule.t * Residency.stats
-(** The greedy decision loop under the residency model. Returns the
-    schedule (entries record effective transfer times, see
-    {!Sim.schedule_task_cached}) and the final cache statistics. Raises
-    [Invalid_argument] when a task alone exceeds the capacity. *)
+(** The greedy decision loop under the residency model, from an empty
+    cache. Returns the schedule (entries record effective transfer
+    times, see {!Sim.schedule_task_cached}) and the final cache
+    statistics. Raises [Invalid_argument] when a task alone exceeds the
+    capacity, or when two references to one tile carve out different
+    memory shares ({!Residency.touch}). *)

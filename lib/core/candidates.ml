@@ -272,7 +272,8 @@ let remove t (task : Task.t) =
   t.bym <- remove_t mcmp task t.bym;
   t.n <- t.n - 1
 
-let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
+let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) t crit ~used ~kcap
+    ~cpu_free ~now =
   let fits m = used +. m <= kcap in
   match fitting_agg fits t.bym None with
   | None -> None
@@ -284,7 +285,9 @@ let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
       let p, binding =
         if not min_idle_filter then ((fun _ -> true), false)
         else
-          let bound = idle m.Task.comm +. 1e-12 in
+          (* m attains the least idle time of the fitting tasks; the
+             floor stands for tasks outside the index *)
+          let bound = Float.min (idle m.Task.comm) idle_floor +. 1e-12 in
           let p c = idle c <= bound in
           (* idle is monotone in comm, so if the largest fitting comm is
              eligible then every fitting task is and the filter is a
@@ -292,6 +295,7 @@ let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
           (p, not (p a.hi.Task.comm))
       in
       match crit with
+      | _ when not (p m.Task.comm) -> None (* the floor excludes every fitting task *)
       | SCMR ->
           (* minimum comm, then minimum id: attains the minimum idle
              time, hence always eligible *)

@@ -66,6 +66,7 @@ val remove : t -> Task.t -> unit
 
 val select :
   ?min_idle_filter:bool ->
+  ?idle_floor:float ->
   t ->
   criterion ->
   used:float ->
@@ -82,4 +83,13 @@ val select :
     [1e-12]; skipped when [min_idle_filter] is [false], default [true]),
     then apply the criterion, ties by smaller id. O(log n) when the
     minimum-idle filter does not bind (always, for SCMR and with the
-    filter off). [None] iff no task fits. *)
+    filter off). [None] iff no task fits.
+
+    [idle_floor] (default [infinity], ignored with the filter off) is
+    the least idle time of candidates held {e outside} the index, so
+    that the filter runs over their union: the bound becomes
+    [Float.min (idle lo) idle_floor +. 1e-12], with [lo] the fitting task
+    of least [(comm, id)], and the result is also [None] when [lo] (hence
+    every fitting task) lies outside it. {!Cached_rules} passes the
+    floor of its warm tasks; without a floor the selection is the one
+    above. *)

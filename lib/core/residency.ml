@@ -84,12 +84,24 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* A tile is one block of memory: every reference to a resident tile
+   must carve out the same memory share, or the executor's memory
+   accounting (which charges the resident size once and each task's own
+   share privately) no longer adds up. Transfer shares may differ. *)
+let check_size who (e : entry) (r : Task.tile_ref) =
+  if e.e_mem <> r.Task.t_mem then
+    invalid_arg
+      (Printf.sprintf "Residency.%s: tile %d is resident with %g bytes, referenced with %g"
+         who r.Task.tile e.e_mem r.Task.t_mem)
+
 (* Pin a tile the task reads. A resident tile is a hit (no transfer, no
    new memory); an absent one is a miss — it is admitted resident and
    charged to the cache. Either way the tile is pinned until {!unpin}. *)
 let touch t (r : Task.tile_ref) =
+  let found = Hashtbl.find_opt t.table r.Task.tile in
+  Option.iter (fun e -> check_size "touch" e r) found;
   let now = tick t in
-  match Hashtbl.find_opt t.table r.Task.tile with
+  match found with
   | Some e ->
       e.last_use <- now;
       if e.pins = 0 then t.pinned_bytes <- t.pinned_bytes +. e.e_mem;
@@ -118,9 +130,11 @@ let unpin t tile =
 (* A write-back makes the output tile resident (write-allocate): its
    memory moves from the finished task's private share into the cache. *)
 let admit_write t (r : Task.tile_ref) =
+  let found = Hashtbl.find_opt t.table r.Task.tile in
+  Option.iter (fun e -> check_size "admit_write" e r) found;
   let now = tick t in
   t.writebacks <- t.writebacks + 1;
-  match Hashtbl.find_opt t.table r.Task.tile with
+  match found with
   | Some e -> e.last_use <- now
   | None ->
       Hashtbl.replace t.table r.Task.tile

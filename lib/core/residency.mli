@@ -55,7 +55,10 @@ val touch : t -> Task.tile_ref -> [ `Hit | `Miss ]
 (** Reference a tile at a task's communication start: a resident tile is
     a hit, an absent one is admitted (miss). Pins the tile either way;
     the caller must {!unpin} it at the task's computation end. On a miss
-    the tile's memory is charged to {!resident_bytes}. *)
+    the tile's memory is charged to {!resident_bytes}. Raises
+    [Invalid_argument] naming the tile, and changes nothing, when the
+    tile is resident with a memory share other than the reference's
+    [t_mem] (transfer shares may differ). *)
 
 val unpin : t -> int -> unit
 (** Release one pin. Raises [Invalid_argument] if the tile is not
@@ -64,7 +67,9 @@ val unpin : t -> int -> unit
 val admit_write : t -> Task.tile_ref -> unit
 (** Record a completed write-back: the output tile becomes resident
     (unpinned); its memory moves from the task's private share into the
-    cache. Refreshes recency if the tile was already resident. *)
+    cache. Refreshes recency if the tile was already resident; raises
+    [Invalid_argument] like {!touch} if it is resident with another
+    memory share. *)
 
 val evict_candidate : t -> int option
 (** The unpinned tile the policy would evict next ([None] when every

@@ -279,11 +279,16 @@ let effective_comm cs (task : Task.t) =
       in
       Float.max 0.0 (task.Task.comm -. saved)
 
+(* Memory no eviction can reclaim: private memory in use + pinned tiles.
+   The left operand of the fit test below, shared with decision loops
+   that test tasks with no resident tile as [unevictable + mem <= kcap]. *)
+let cached_unevictable cs = cs.cbase.used +. Residency.pinned_bytes cs.cres
+
 (* Could the task start right now, allowing on-demand eviction of every
    unpinned tile it does not read itself?  The minimum achievable usage
-   is: private memory in use + pinned tiles + the task's own resident
-   unpinned tiles (kept, they are about to be pinned) + the memory it
-   still has to bring in. *)
+   is: the unevictable memory + the task's own resident unpinned tiles
+   (kept, they are about to be pinned) + the memory it still has to
+   bring in. *)
 let cached_fits_now cs ~kcap (task : Task.t) =
   settle_cached cs;
   let resident_t, resident_unpinned_t =
@@ -296,9 +301,7 @@ let cached_fits_now cs ~kcap (task : Task.t) =
         else (res_m, unp_m))
       (0.0, 0.0) task.Task.tiles
   in
-  cs.cbase.used +. Residency.pinned_bytes cs.cres +. resident_unpinned_t
-  +. (task.Task.mem -. resident_t)
-  <= kcap
+  cached_unevictable cs +. resident_unpinned_t +. (task.Task.mem -. resident_t) <= kcap
 
 let schedule_task_cached cs ~capacity (task : Task.t) =
   let st = cs.cbase and res = cs.cres in

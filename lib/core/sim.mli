@@ -142,6 +142,13 @@ val effective_comm : cached_state -> Task.t -> float
 (** The transfer time the task would pay right now: [comm] minus the
     shares of its currently-resident tiles, clamped at [0.]. *)
 
+val cached_unevictable : cached_state -> float
+(** Memory no eviction can reclaim: private memory of in-flight tasks
+    plus pinned tile bytes, {e before} processing any pending event. The
+    left operand of {!cached_fits_now}'s test: after {!settle_cached}, a
+    task none of whose input tiles is resident fits iff
+    [cached_unevictable cs +. mem <= kcap]. *)
+
 val cached_fits_now : cached_state -> kcap:float -> Task.t -> bool
 (** Could the task's communication start at the link-free instant,
     counting on-demand eviction of every unpinned tile the task does not

@@ -70,27 +70,35 @@ let tiled_task_gen =
 
 (* Tiled tasks whose shares are a fixed function of the tile id (as when
    tiles are real shared blocks): every task referencing tile [t] carves
-   out the same (comm, mem) share, and no write-backs. Used by the
-   cached-never-worse property, whose guarantee assumes consistent
-   shares. *)
-let pooled_task_gen =
+   out the same (comm, mem) share. No write-backs by default: the
+   cached-never-worse property, whose guarantee assumes consistent shares
+   and no write-backs, runs on this default. With [~writes:true] a task
+   may also write one pool tile back (same share function), which other
+   tasks may read. *)
+let pooled_task_gen ?(writes = false) () =
   QCheck2.Gen.(
     let tile_share t = 0.25 *. float_of_int ((t mod 3) + 1) in
-    let* ids = list_size (int_range 0 3) (int_range 0 7) in
-    let ids = List.sort_uniq compare ids in
-    let tiles =
-      List.map (fun t -> { Task.tile = t; t_comm = tile_share t; t_mem = tile_share t }) ids
+    let pooled ids =
+      List.map
+        (fun t -> { Task.tile = t; t_comm = tile_share t; t_mem = tile_share t })
+        (List.sort_uniq compare ids)
     in
+    let* ids = list_size (int_range 0 3) (int_range 0 7) in
+    let tiles = pooled ids in
     let* extra_comm = map (fun x -> float_of_int x /. 4.0) (int_range 0 20) in
     let* extra_mem = map (fun x -> float_of_int x /. 4.0) (int_range 0 8) in
     let* comp = map (fun x -> float_of_int x /. 4.0) (int_range 0 40) in
+    let* written = if writes then list_size (int_range 0 1) (int_range 0 7) else return [] in
+    let writes = pooled written in
     let sum = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_comm) 0.0 tiles in
+    let mem =
+      List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) (sum +. extra_mem) writes
+    in
     return (fun id ->
-        Task.make ~id ~comm:(sum +. extra_comm) ~comp
-          ~mem:(Float.max 0.25 (sum +. extra_mem))
-          ~tiles ()))
+        Task.make ~id ~comm:(sum +. extra_comm) ~comp ~mem:(Float.max 0.25 mem) ~tiles
+          ~writes ()))
 
-let tiled_instance_gen ?(task = pooled_task_gen) ?(min_size = 1) ?(max_size = 8) () =
+let tiled_instance_gen ?(task = pooled_task_gen ()) ?(min_size = 1) ?(max_size = 8) () =
   QCheck2.Gen.(
     let* n = int_range min_size max_size in
     let* mk = list_repeat n task in

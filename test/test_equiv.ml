@@ -214,6 +214,31 @@ let engine_two_batch_prop policy =
         (List.map (fun d -> Float.max 0.0 (now +. d)) offsets);
       first && same_schedule (Engine.drain eng) (Reference.Eng.drain reference))
 
+(* The evict-aware loop (Candidates index for the cold tasks, a scanned
+   warm set) against the frozen list scan, on tiled instances whose tasks
+   share pool tiles and write some back: entries and cache statistics
+   must agree under both eviction policies. *)
+let tiled_gen =
+  Generators.tiled_instance_gen ~task:(Generators.pooled_task_gen ~writes:true ())
+    ~min_size:1 ~max_size:40 ()
+
+let cached_prop criterion filter =
+  Generators.prop_test ~count:300
+    ~name:
+      (Printf.sprintf "Cached %s (min-idle %s) = reference, entries and stats"
+         (Dynamic_rules.name criterion)
+         (if filter then "on" else "off"))
+    tiled_gen
+    (fun i ->
+      List.for_all
+        (fun policy ->
+          let sched, stats = Cached_rules.run ~policy ~min_idle_filter:filter criterion i in
+          let ref_sched, ref_stats =
+            Reference.Cached.run ~policy ~min_idle_filter:filter criterion i
+          in
+          same_schedule sched ref_sched && stats = ref_stats)
+        Residency.all_policies)
+
 let duplicate_order_rejected () =
   let t0 = Task.make ~id:0 ~comm:1.0 ~comp:1.0 ()
   and t0' = Task.make ~id:0 ~comm:2.0 ~comp:1.0 () in
@@ -250,6 +275,9 @@ let suite =
       List.map corrected_order_prop Corrected_rules.all;
       [ dynamic_state_prop; corrected_state_prop ];
       List.map engine_two_batch_prop Engine.all_policies;
+      List.concat_map
+        (fun c -> [ cached_prop c true; cached_prop c false ])
+        Dynamic_rules.all;
       [
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick

@@ -117,6 +117,41 @@ let eviction_under_pressure () =
       let flat = Sim.run_order_exn ~capacity:4.0 (List.map Task.flatten [ t0; t1; t2 ]) in
       check_float "eviction never delays" (Schedule.makespan flat) (Schedule.makespan sched)
 
+(* Two references to tile 0 that disagree on its memory share: memory
+   cannot add up, so both entry points must reject the instance with an
+   Invalid_argument naming the tile, not fail an internal assertion. *)
+let inconsistent_tile_sizes () =
+  let t0 =
+    Task.make ~id:0 ~comm:1.25 ~comp:1.0 ~mem:2.25 ~tiles:[ ref_ ~comm:0.75 ~mem:1.25 0 ] ()
+  in
+  let t1 = Task.make ~id:1 ~comm:1.5 ~comp:5.25 ~mem:3.0 ~tiles:[ ref_ ~comm:0.0 0 ] () in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: inconsistent tile sizes accepted" what
+    | exception Invalid_argument msg ->
+        let prefix = "Residency.touch: tile 0 is resident with " in
+        Alcotest.(check string)
+          (what ^ " names the tile") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  rejects "run_order_cached" (fun () -> Sim.run_order_cached ~capacity:3.0 [ t0; t1 ]);
+  let instance = Instance.make_keep_ids ~capacity:3.0 [ t0; t1 ] in
+  List.iter
+    (fun filter ->
+      List.iter
+        (fun c ->
+          rejects (Dynamic_rules.name c) (fun () ->
+              Cached_rules.run ~min_idle_filter:filter c instance))
+        Dynamic_rules.all)
+    [ true; false ];
+  (* a write-back onto a resident tile of another size is rejected too *)
+  let r = Residency.create () in
+  ignore (Residency.touch r (ref_ ~mem:1.0 4));
+  Alcotest.check_raises "admit_write"
+    (Invalid_argument
+       "Residency.admit_write: tile 4 is resident with 1 bytes, referenced with 2")
+    (fun () -> Residency.admit_write r (ref_ ~mem:2.0 4))
+
 (* --------------------- degenerate bit-identity -------------------- *)
 
 let schedule_bit_equal a b =
@@ -215,6 +250,8 @@ let suite =
     Alcotest.test_case "eviction under memory pressure" `Quick eviction_under_pressure;
     Alcotest.test_case "rejects non-finite fields" `Quick rejects_non_finite;
     Alcotest.test_case "rejects bad tile shares" `Quick rejects_bad_shares;
+    Alcotest.test_case "inconsistent tile sizes raise, not crash" `Quick
+      inconsistent_tile_sizes;
     prop_degenerate_run_order;
     prop_degenerate_rules;
     prop_replay_never_worse;
