@@ -24,7 +24,9 @@
    `core-smoke` is the CI guard: the 5k-task offline sweep plus online
    drain, and the 5k-task cached run, must each finish under
    DTSCHED_SMOKE_BUDGET seconds (default 2.0) — a budget the quadratic
-   code cannot meet. *)
+   code cannot meet — and each of the six offline policies and the
+   online session must allocate at most [alloc_budget] minor words per
+   task. *)
 
 open Dt_core
 module Engine = Dt_runtime.Engine
@@ -70,14 +72,17 @@ let offline_policies =
   List.map (fun c -> `Dynamic c) Dynamic_rules.all
   @ List.map (fun r -> `Corrected r) Corrected_rules.all
 
-let offline_after instance =
-  List.map
-    (fun p ->
-      Schedule.makespan
-        (match p with
-        | `Dynamic c -> Dynamic_rules.run c instance
-        | `Corrected r -> Corrected_rules.run r instance))
-    offline_policies
+let offline_name = function
+  | `Dynamic c -> Dynamic_rules.name c
+  | `Corrected r -> Corrected_rules.name r
+
+let offline_run p instance =
+  Schedule.makespan
+    (match p with
+    | `Dynamic c -> Dynamic_rules.run c instance
+    | `Corrected r -> Corrected_rules.run r instance)
+
+let offline_after instance = List.map (fun p -> offline_run p instance) offline_policies
 
 let offline_before instance =
   List.map
@@ -272,9 +277,21 @@ let run () =
         "  \"speedup\": { \"offline\": %a, \"online\": %a, \"cached\": %a }\n"
         pp_speedup_json sp_offline pp_speedup_json sp_online pp_speedup_json sp_cached)
 
+(* Minor words per task allowed to each decision loop on the smoke
+   instance. The candidate index copies no node, so a loop reads
+   ~110-180 (the index's two nodes per task, the simulator's entries,
+   the schedule); a path-copying index reads 1,400-1,500. A count, not a
+   timing: host noise can neither pass nor fail it. *)
+let alloc_budget = 400.0
+
+let words_per_task n f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* CI tripwire: 5k tasks through the full offline sweep plus the online
    drain, and 5k through the cached loop, each under a wall-clock budget
-   the quadratic code cannot meet. *)
+   the quadratic code cannot meet; then the allocation budget. *)
 let smoke () =
   let budget =
     match Sys.getenv_opt "DTSCHED_SMOKE_BUDGET" with
@@ -299,4 +316,16 @@ let smoke () =
   Printf.printf "core-smoke: %d-task cached %s at R=%g in %.3fs (budget %.1fs): %s\n" n
     (Cached_rules.name Residency.Lru Dynamic_rules.SCMR)
     cached_reuse cached_elapsed budget (verdict cached_elapsed);
-  if elapsed > budget || cached_elapsed > budget then exit 1
+  let words =
+    List.map (fun p -> (offline_name p, words_per_task n (fun () -> offline_run p instance)))
+      offline_policies
+    @ [
+        ( Engine.policy_name online_policy ^ " online",
+          words_per_task n (fun () -> online_after ~capacity ~spacing tasks) );
+      ]
+  in
+  let over = List.filter (fun (_, w) -> w > alloc_budget) words in
+  Printf.printf "core-smoke: minor words per task (budget %.0f): %s: %s\n" alloc_budget
+    (String.concat ", " (List.map (fun (name, w) -> Printf.sprintf "%s %.0f" name w) words))
+    (if over = [] then "PASS" else "FAIL");
+  if elapsed > budget || cached_elapsed > budget || over <> [] then exit 1

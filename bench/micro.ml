@@ -53,12 +53,68 @@ let test_local_search =
       Staged.stage (fun () ->
           ignore (Dt_core.Local_search.improve ~max_rounds:2 ~capacity tasks)))
 
+(* The candidate index alone. [drain]: a bulk add (one rebuild), then n
+   decisions, each a select under a memory level that leaves part of the
+   index out (the fit binds; the filter does not, the CPU being busy
+   long after [now]) and the removal of the winner, the criterion
+   cycling through LCMR, SCMR and MAMR. [interleaved]: an index of n/2
+   tasks fed one task per decision (one-by-one inserts), as online
+   arrivals between decisions are. *)
+let candidates_select idx k ~mean_mem =
+  let crit = List.nth Dt_core.Dynamic_rules.all (k mod 3) in
+  let select ~used ~kcap =
+    Dt_core.Candidates.select idx crit ~used ~kcap ~cpu_free:1e9 ~now:0.0
+  in
+  match select ~used:(float_of_int (k mod 4) *. mean_mem /. 2.0) ~kcap:(2.0 *. mean_mem) with
+  | Some _ as winner -> winner
+  | None -> select ~used:0.0 ~kcap:Float.infinity
+
+let candidates_tasks n =
+  let tasks = Dt_core.Instance.task_list (instance_of_size n) in
+  let mean_mem =
+    List.fold_left (fun a (t : Dt_core.Task.t) -> a +. t.Dt_core.Task.mem) 0.0 tasks
+    /. float_of_int n
+  in
+  (tasks, mean_mem)
+
+let test_candidates_drain =
+  Test.make_indexed ~name:"drain" ~args:[ 200; 800; 5_000 ] (fun n ->
+      let tasks, mean_mem = candidates_tasks n in
+      Staged.stage (fun () ->
+          let idx = Dt_core.Candidates.create () in
+          List.iter (Dt_core.Candidates.add idx) tasks;
+          for k = 0 to n - 1 do
+            match candidates_select idx k ~mean_mem with
+            | Some t -> Dt_core.Candidates.remove idx t
+            | None -> assert false
+          done))
+
+let test_candidates_interleaved =
+  Test.make_indexed ~name:"interleaved" ~args:[ 800 ] (fun n ->
+      let tasks, mean_mem = candidates_tasks n in
+      let first, rest = List.partition (fun (t : Dt_core.Task.t) -> t.Dt_core.Task.id < n / 2) tasks in
+      Staged.stage (fun () ->
+          let idx = Dt_core.Candidates.create () in
+          List.iter (Dt_core.Candidates.add idx) first;
+          List.iteri
+            (fun k t ->
+              Dt_core.Candidates.add idx t;
+              match candidates_select idx k ~mean_mem with
+              | Some t -> Dt_core.Candidates.remove idx t
+              | None -> assert false)
+            rest))
+
 let run () =
   Printf.printf "\n== micro: heuristic scheduling cost (bechamel) ==\n\n";
   let tests =
-    Test.make_grouped ~name:"heuristics"
-      (List.map test_of_heuristic representatives
-      @ [ test_two_orders; test_local_search ])
+    Test.make_grouped ~name:"" ~fmt:"%s%s"
+      [
+        Test.make_grouped ~name:"heuristics"
+          (List.map test_of_heuristic representatives
+          @ [ test_two_orders; test_local_search ]);
+        Test.make_grouped ~name:"candidates"
+          [ test_candidates_drain; test_candidates_interleaved ];
+      ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

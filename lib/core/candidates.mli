@@ -26,15 +26,31 @@
       Idle time is monotone in [comm], so the eligible set is a
       comm-prefix; it only {e binds} (excludes some fitting task) when
       the CPU frees up before the longest fitting transfer completes.
-      When it does not bind — the common case under CPU backlog — the
-      prefix aggregates already answer every criterion; when it does,
-      LCMR resolves with O(log² n) boundary descents of the
-      [(comm, id)] tree and MAMR with a pruned search of the (then
-      small) eligible region.
+      When it does not bind, the prefix aggregates already answer every
+      criterion; when it does, LCMR resolves with O(log² n) boundary
+      descents of the [(comm, id)] tree and MAMR with a pruned search of
+      the eligible region. On the paper's workload the filter binds
+      almost always: over the 150 HF process traces (default seed,
+      capacity 1.5 m_c) on 107,669 of 108,345 LCMR decisions (99.4%)
+      and 107,517 of 108,345 MAMR decisions, and on 31,382 of the
+      32,716 [select] calls of OOLCMR (95.9%);
+    - the trees are mutated in place (no path copying), and [add] is
+      deferred: the task is checked and recorded at once, so [find] and
+      [size] see it, but it enters the trees when the next [select] or
+      [remove] flushes the pending tasks. A flush rebuilds both trees
+      perfectly balanced from the union sorted under each order when the
+      pending tasks are at least as many as the indexed ones, and
+      inserts them one by one otherwise, so an [add] costs O(log n)
+      amortized. The offline rules, a served session's [SUBMIT]s before
+      its [DRAIN], and {!Cached_rules}' initial load take the rebuild;
+      online arrivals between decisions take the inserts. No operation
+      copies a node: besides its result, a [select] allocates at most
+      a dozen words, however large the index.
 
     Every comparison uses the exact float expressions of the original
     list scans and of {!Sim.fits_now}, so selections are bit-identical
-    to them (property-tested against a frozen copy). *)
+    to them (property-tested against a frozen copy, and against a
+    task-list model over random add/remove/select interleavings). *)
 
 type t
 
@@ -55,12 +71,14 @@ val find : t -> int -> Task.t option
 (** The task with this id in the index, if any. *)
 
 val add : t -> Task.t -> unit
-(** Insert a task in O(log n). Raises
-    [Invalid_argument "Candidates.add: duplicate task id <id>"] when a
-    task with the same id is already present. *)
+(** Add a task, in O(log n) amortized: it is pending until the next
+    [select] or [remove] (see the flush rule above). Raises
+    [Invalid_argument "Candidates.add: duplicate task id <id>"] at once
+    when a task with the same id is already present, pending or not. *)
 
 val remove : t -> Task.t -> unit
-(** Remove a task in O(log n). Raises
+(** Remove the task with this task's id, after flushing the pending
+    tasks; O(log n) besides the flush. Raises
     [Invalid_argument "Candidates.remove: unknown task id <id>"] when no
     task with its id is present. *)
 
@@ -81,9 +99,10 @@ val select :
     whose communication, started at [now], induces the least idle time
     [max 0 (now + comm - cpu_free)] on the processing unit (within
     [1e-12]; skipped when [min_idle_filter] is [false], default [true]),
-    then apply the criterion, ties by smaller id. O(log n) when the
-    minimum-idle filter does not bind (always, for SCMR and with the
-    filter off). [None] iff no task fits.
+    then apply the criterion, ties by smaller id. Flushes the pending
+    tasks first; then O(log n) when the minimum-idle filter does not
+    bind (always, for SCMR and with the filter off). [None] iff no task
+    fits.
 
     [idle_floor] (default [infinity], ignored with the filter off) is
     the least idle time of candidates held {e outside} the index, so

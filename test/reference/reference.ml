@@ -274,3 +274,31 @@ module Cached = struct
     done;
     (Schedule.make ~capacity (List.rev !entries), Residency.stats (Sim.cached_residency cs))
 end
+
+(* Old Bin_packing.bins: First-Fit over a list of open bins, a new bin
+   appended with [@], which copies the list. *)
+module Bp = struct
+  type bin = { mutable free : float; mutable members : Task.t list }
+
+  let bins ~capacity tasks =
+    let open_bins = ref [] in
+    let place t =
+      if t.Task.mem > capacity *. (1.0 +. 1e-12) then
+        invalid_arg
+          (Printf.sprintf "Bin_packing: task %d needs %g > capacity %g" t.Task.id t.Task.mem
+             capacity);
+      let rec fit = function
+        | [] ->
+            open_bins := !open_bins @ [ { free = capacity -. t.Task.mem; members = [ t ] } ]
+        | b :: rest ->
+            if t.Task.mem <= b.free +. (1e-12 *. Float.max 1.0 capacity) then begin
+              b.free <- b.free -. t.Task.mem;
+              b.members <- t :: b.members
+            end
+            else fit rest
+      in
+      fit !open_bins
+    in
+    List.iter place tasks;
+    List.map (fun b -> List.rev b.members) !open_bins
+end

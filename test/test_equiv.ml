@@ -239,6 +239,175 @@ let cached_prop criterion filter =
           same_schedule sched ref_sched && stats = ref_stats)
         Residency.all_policies)
 
+(* The candidate index against a task-list model, over random
+   interleavings of add batches (ids reused after removal), removes and
+   selections under every criterion, filter on and off, with and without
+   an idle floor. The model's selection is the frozen list scan over the
+   fitting tasks, after the floor rule of candidates.mli: with the filter
+   on, tasks idle beyond [Float.min least floor +. 1e-12] drop out. *)
+type spec = { s_comm : float; s_comp : float; s_mem : float }
+
+type query = {
+  crit : Candidates.criterion;
+  filter : bool;
+  floor : float option;
+  used : float;
+  kcap : float;
+  cpu_free : float;
+  now : float;
+}
+
+type op =
+  | Add of spec list (* a batch, given the smallest absent ids *)
+  | Add_present of int (* a copy of the k-th present task: must raise *)
+  | Remove of int (* the k-th present task *)
+  | Remove_absent
+  | Select of query
+
+let quarter hi = QCheck2.Gen.map (fun x -> float_of_int x /. 4.0) (QCheck2.Gen.int_range 0 hi)
+
+let op_gen =
+  QCheck2.Gen.(
+    let spec =
+      let* s_comm = quarter 24 and* s_comp = quarter 24 and* s_mem = quarter 40 in
+      return { s_comm; s_comp; s_mem = Float.max 0.25 s_mem }
+    in
+    let query =
+      let* crit = oneofl Dynamic_rules.all
+      and* filter = bool
+      and* floor = option (quarter 40)
+      and* used = quarter 40
+      and* kcap = map (fun k -> if k > 60 then Float.infinity else float_of_int k /. 4.0) (int_range 0 64)
+      and* cpu_free = quarter 80
+      and* now = quarter 40 in
+      return { crit; filter; floor; used; kcap; cpu_free; now }
+    in
+    frequency
+      [
+        (3, map (fun b -> Add b) (list_size (oneof [ int_range 1 3; int_range 4 16 ]) spec));
+        (1, map (fun k -> Add_present k) nat);
+        (4, map (fun k -> Remove k) nat);
+        (1, return Remove_absent);
+        (6, map (fun q -> Select q) query);
+      ])
+
+let op_print = function
+  | Add b ->
+      Printf.sprintf "Add [%s]"
+        (String.concat "; "
+           (List.map (fun s -> Printf.sprintf "(%g, %g, %g)" s.s_comm s.s_comp s.s_mem) b))
+  | Add_present k -> Printf.sprintf "Add_present %d" k
+  | Remove k -> Printf.sprintf "Remove %d" k
+  | Remove_absent -> "Remove_absent"
+  | Select q ->
+      Printf.sprintf "Select %s filter=%b floor=%s used=%g kcap=%g cpu_free=%g now=%g"
+        (Dynamic_rules.name q.crit) q.filter
+        (match q.floor with Some f -> Printf.sprintf "%g" f | None -> "-")
+        q.used q.kcap q.cpu_free q.now
+
+let model_select present q =
+  let fitting = List.filter (fun (t : Task.t) -> q.used +. t.Task.mem <= q.kcap) present in
+  let fitting =
+    match q.floor with
+    | Some floor when q.filter ->
+        let idle (t : Task.t) = Float.max 0.0 (q.now +. t.Task.comm -. q.cpu_free) in
+        let least = List.fold_left (fun a t -> Float.min a (idle t)) Float.infinity fitting in
+        List.filter (fun t -> idle t <= Float.min least floor +. 1e-12) fitting
+    | _ -> fitting
+  in
+  Reference.Dyn.select ~min_idle_filter:q.filter q.crit ~cpu_free:q.cpu_free ~now:q.now
+    fitting
+
+(* Runs [ops] on an index and on the model; [flushes] counts, by the
+   deferred-add flush case (0 rebuild into an empty index, 1 rebuild into
+   a non-empty one, 2 one-by-one inserts), the operations that flushed. *)
+let index_matches_model flushes ops =
+  let idx = Candidates.create () in
+  let present = ref [] and next_absent = ref 1_000_000 in
+  let indexed = ref 0 and pending = ref 0 in
+  let flush () =
+    if !pending > 0 then begin
+      let case = if !indexed = 0 then 0 else if !pending >= !indexed then 1 else 2 in
+      flushes.(case) <- flushes.(case) + 1;
+      indexed := !indexed + !pending;
+      pending := 0
+    end
+  in
+  let nth k = List.nth !present (k mod List.length !present) in
+  let raises msg f =
+    match f () with
+    | () -> QCheck2.Test.fail_reportf "no exception, expected %s" msg
+    | exception Invalid_argument m when m = msg -> ()
+  in
+  let step op =
+    (match op with
+    | Add batch ->
+        let taken id = List.exists (fun (t : Task.t) -> t.Task.id = id) !present in
+        List.iter
+          (fun s ->
+            let id = ref 0 in
+            while taken !id do incr id done;
+            let t = Task.make ~id:!id ~comm:s.s_comm ~comp:s.s_comp ~mem:s.s_mem () in
+            Candidates.add idx t;
+            present := t :: !present;
+            incr pending)
+          batch
+    | Add_present k when !present <> [] ->
+        let t = nth k in
+        raises (Printf.sprintf "Candidates.add: duplicate task id %d" t.Task.id) (fun () ->
+            Candidates.add idx
+              (Task.make ~id:t.Task.id ~comm:(t.Task.comm +. 1.0) ~comp:t.Task.comp ()))
+    | Remove k when !present <> [] ->
+        let t = nth k in
+        flush ();
+        Candidates.remove idx t;
+        present := List.filter (fun u -> u != t) !present;
+        decr indexed
+    | Remove_absent ->
+        incr next_absent;
+        raises (Printf.sprintf "Candidates.remove: unknown task id %d" !next_absent)
+          (fun () ->
+            Candidates.remove idx (Task.make ~id:!next_absent ~comm:1.0 ~comp:1.0 ()))
+    | Select q ->
+        flush ();
+        let got =
+          Candidates.select ~min_idle_filter:q.filter ?idle_floor:q.floor idx q.crit
+            ~used:q.used ~kcap:q.kcap ~cpu_free:q.cpu_free ~now:q.now
+        and want = model_select !present q in
+        if not (Option.equal ( == ) got want) then
+          QCheck2.Test.fail_reportf "%s: index chose %s, model %s" (op_print op)
+            (match got with Some t -> string_of_int t.Task.id | None -> "none")
+            (match want with Some t -> string_of_int t.Task.id | None -> "none")
+    | Add_present _ | Remove _ -> ());
+    let top = List.fold_left (fun a (t : Task.t) -> max a t.Task.id) 0 !present in
+    Candidates.size idx = List.length !present
+    && List.for_all
+         (fun id ->
+           Option.equal ( == ) (Candidates.find idx id)
+             (List.find_opt (fun (t : Task.t) -> t.Task.id = id) !present))
+         (List.init (top + 2) Fun.id)
+  in
+  List.for_all step ops
+
+let candidates_model =
+  let flushes = Array.make 3 0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"Candidates = task-list model, every flush case"
+         ~print:(fun ops -> String.concat "\n" (List.map op_print ops))
+         QCheck2.Gen.(list_size (int_range 1 80) op_gen)
+         (index_matches_model flushes))
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      List.iteri
+        (fun case what ->
+          Alcotest.(check bool) (what ^ " reached") true (flushes.(case) > 0))
+        [ "rebuild into an empty index"; "rebuild into a non-empty index"; "one-by-one inserts" ]
+  )
+
 let duplicate_order_rejected () =
   let t0 = Task.make ~id:0 ~comm:1.0 ~comp:1.0 ()
   and t0' = Task.make ~id:0 ~comm:2.0 ~comp:1.0 () in
@@ -279,6 +448,7 @@ let suite =
         (fun c -> [ cached_prop c true; cached_prop c false ])
         Dynamic_rules.all;
       [
+        candidates_model;
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;

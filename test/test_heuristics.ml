@@ -209,6 +209,32 @@ let first_fit_semantics () =
     (Invalid_argument "Bin_packing: task 0 needs 11 > capacity 10") (fun () ->
       ignore (Bin_packing.bins ~capacity:10.0 [ Task.make ~id:0 ~comm:11.0 ~comp:0.0 () ]))
 
+(* First-Fit against the frozen list version, on instances past 16 bins:
+   34-80 tasks above a third of the capacity (at most two per bin) mixed
+   with up to 40 small ones, memories on a quarter grid so that exact
+   fits exercise the tolerance. *)
+let prop_bins_equal_reference =
+  let gen =
+    QCheck2.Gen.(
+      let quarters lo hi = map (fun x -> float_of_int x /. 4.0) (int_range lo hi) in
+      let* big = list_size (int_range 34 80) (quarters 14 40) in
+      let* small = list_size (int_range 0 40) (quarters 1 13) in
+      let* mems = shuffle_l (big @ small) in
+      return (List.mapi (fun id mem -> Task.make ~id ~comm:1.0 ~comp:1.0 ~mem ()) mems))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"Bin_packing = reference First-Fit past 16 bins"
+       ~print:(fun tasks ->
+         String.concat " " (List.map (fun (t : Task.t) -> Printf.sprintf "%g" t.Task.mem) tasks))
+       gen
+       (fun tasks ->
+         let ids = List.map (fun (t : Task.t) -> t.Task.id) in
+         let bins = Bin_packing.bins ~capacity:10.0 tasks
+         and reference = Reference.Bp.bins ~capacity:10.0 tasks in
+         List.length bins > 16
+         && List.map ids bins = List.map ids reference
+         && ids (Bin_packing.order ~capacity:10.0 tasks) = ids (List.concat reference)))
+
 let static_tie_break_by_id () =
   (* equal keys: submission order must be preserved *)
   let tasks = List.init 4 (fun i -> Task.make ~id:i ~comm:2.0 ~comp:2.0 ()) in
@@ -265,6 +291,7 @@ let suite =
   suite
   @ [
       Alcotest.test_case "first-fit semantics" `Quick first_fit_semantics;
+      prop_bins_equal_reference;
       Alcotest.test_case "static tie-break by id" `Quick static_tie_break_by_id;
       Alcotest.test_case "of_name case-insensitive" `Quick of_name_case_insensitive;
       prop_metrics_identities;
