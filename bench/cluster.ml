@@ -167,9 +167,9 @@ let run () =
   Printf.printf
     "\n(%d nodes x %d units, 1 shared link per node, block placement; \
      independent = same topology without balancing; pool \
-     jobs/fallbacks/steals %d/%d/%d)\n"
+     jobs/fallbacks %d/%d)\n"
     nodes units_per_node pool_stats.Dt_par.Pool.jobs
-    pool_stats.Dt_par.Pool.fallbacks pool_stats.Dt_par.Pool.steals;
+    pool_stats.Dt_par.Pool.fallbacks;
   let not_worse =
     List.for_all
       (fun r ->

@@ -318,12 +318,12 @@ let svg_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Parallel-run health, visible outside the server's STATS verb: shard
-   count plus the pool's job/fallback/steal counters. *)
+   count plus the pool's job/fallback counters. *)
 let pool_stats_line pool =
   let stats = Dt_par.Pool.stats pool in
-  Printf.printf "pool: shards=%d jobs=%d fallbacks=%d steals=%d\n"
+  Printf.printf "pool: shards=%d jobs=%d fallbacks=%d\n"
     (Dt_par.Pool.num_domains pool)
-    stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks stats.Dt_par.Pool.steals
+    stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks
 
 let fleet dir prefix factor domains =
   let traces = Dt_trace.Trace.load_set ~dir ~prefix in
@@ -362,8 +362,8 @@ let fleet dir prefix factor domains =
                let stats = Dt_par.Pool.stats pool in
                let shards = Dt_par.Pool.num_domains pool in
                fun () ->
-                 Printf.printf "pool: shards=%d jobs=%d fallbacks=%d steals=%d\n" shards
-                   stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks stats.Dt_par.Pool.steals)
+                 Printf.printf "pool: shards=%d jobs=%d fallbacks=%d\n" shards
+                   stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks)
              pool )))
 
 let fleet_cmd =
@@ -649,7 +649,7 @@ let serve_cmd =
              Each connection is pinned to one shard for its lifetime and its \
              requests run there, off the event loop, so a slow request only \
              delays its own shard ($(b,STATS) reports the shard and the \
-             pool's job/fallback/steal counters). Without this option \
+             pool's job/fallback counters). Without this option \
              requests are processed on the event loop itself; connections \
              are multiplexed and never block each other's reads either way.")
   in

@@ -1,6 +1,6 @@
 let default_portfolio = Heuristic.all
 
-let best_on ?state ?pool ~candidates instance =
+let best_on ?state ~candidates instance =
   match candidates with
   | [] -> invalid_arg "Auto: empty candidate list"
   | _ ->
@@ -8,17 +8,8 @@ let best_on ?state ?pool ~candidates instance =
         let st = Option.map Sim.copy_state state in
         (h, Heuristic.run ?state:st h instance)
       in
-      let scored =
-        match pool with
-        | None -> Array.of_list (List.map evaluate candidates)
-        | Some pool ->
-            (* candidates are independent; the sharded executor returns
-               results in candidate order whatever domain ran which chunk,
-               so the tie-break below is unchanged *)
-            Dt_par.Pool.parallel_map pool evaluate (Array.of_list candidates)
-      in
-      (* first strictly-better wins: ties keep the earliest candidate, the
-         same rule as the sequential fold, whatever the evaluation order *)
+      let scored = Array.of_list (List.map evaluate candidates) in
+      (* first strictly-better wins: ties keep the earliest candidate *)
       let best = ref scored.(0) in
       for i = 1 to Array.length scored - 1 do
         let _, s = scored.(i) and _, sb = !best in
@@ -27,10 +18,9 @@ let best_on ?state ?pool ~candidates instance =
       done;
       !best
 
-let select ?(candidates = default_portfolio) ?pool instance =
-  best_on ?pool ~candidates instance
+let select ?(candidates = default_portfolio) instance = best_on ~candidates instance
 
-let run ?candidates ?pool instance = snd (select ?candidates ?pool instance)
+let run ?candidates instance = snd (select ?candidates instance)
 
 let run_batched ?(candidates = default_portfolio) ~batch instance =
   let capacity = instance.Instance.capacity in

@@ -13,7 +13,6 @@ val default_portfolio : Heuristic.t list
 
 val best_on :
   ?state:Sim.state ->
-  ?pool:Dt_par.Pool.t ->
   candidates:Heuristic.t list ->
   Instance.t ->
   Heuristic.t * Schedule.t
@@ -21,19 +20,14 @@ val best_on :
     {!Sim.state} can be carried in (each candidate runs on its own copy),
     as the batched variant does at batch boundaries. *)
 
-val select :
-  ?candidates:Heuristic.t list ->
-  ?pool:Dt_par.Pool.t ->
-  Instance.t ->
-  Heuristic.t * Schedule.t
+val select : ?candidates:Heuristic.t list -> Instance.t -> Heuristic.t * Schedule.t
 (** Run every candidate and return the one with the smallest makespan
-    (ties: first in the list). With [?pool] the candidates are evaluated
-    concurrently on the pool's domains; the winner — including the
-    tie-break by candidate order — is identical to the sequential run.
-    Raises [Invalid_argument] on an empty candidate list or an infeasible
-    instance. *)
+    (ties: first in the list). Parallelism belongs one level up: a fleet
+    runs one selection per process trace on a pool
+    ([Dt_trace.Fleet.run]). Raises [Invalid_argument] on an empty
+    candidate list or an infeasible instance. *)
 
-val run : ?candidates:Heuristic.t list -> ?pool:Dt_par.Pool.t -> Instance.t -> Schedule.t
+val run : ?candidates:Heuristic.t list -> Instance.t -> Schedule.t
 
 val run_batched :
   ?candidates:Heuristic.t list ->

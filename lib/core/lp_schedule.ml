@@ -169,15 +169,28 @@ let build_problem ~boundary ~capacity tasks =
     },
     horizon )
 
+(* Both orders come from the rounded order variables: a task's position
+   on a resource is the number of tasks that [form] puts before it. The
+   float start times cannot be trusted for this — a zero-length
+   computation and the next one start at the same instant, and noise in
+   [s'] may put them the wrong way round, which the eager replay then
+   pays for. *)
 let decode ~boundary ~capacity ~horizon tasks ly (sol : Dt_lp.Simplex.solution) =
   let arr = Array.of_list tasks in
-  let by key =
-    let idx = Array.to_list (Array.init (Array.length arr) (fun i -> i)) in
-    List.map (fun i -> arr.(i))
-      (List.sort (fun i j -> Float.compare (key i) (key j)) idx)
+  let k = Array.length arr in
+  let holds (vars, const) =
+    List.fold_left (fun acc (v, c) -> acc +. (c *. sol.Dt_lp.Simplex.values.(v))) const vars
+    >= 0.5
   in
-  let comm_order = by (fun i -> sol.Dt_lp.Simplex.values.(var_s ly i))
-  and comp_order = by (fun i -> sol.Dt_lp.Simplex.values.(var_s' ly i)) in
+  let order form =
+    let before q =
+      Seq.length (Seq.filter (fun p -> p <> q && holds (form ly p q)) (Seq.init k Fun.id))
+    in
+    let position = Array.init k before in
+    List.map (fun i -> arr.(i))
+      (List.stable_sort (fun i j -> Int.compare position.(i) position.(j)) (List.init k Fun.id))
+  in
+  let comm_order = order a_form and comp_order = order b_form in
   let state =
     Sim.restore_state ~link_free:boundary.link_free ~cpu_free:boundary.cpu_free
       ~held:boundary.held

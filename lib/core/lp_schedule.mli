@@ -29,9 +29,9 @@ val solve_chunk :
 (** Solve the MILP for one chunk of tasks starting from the boundary
     state. [None] when the branch and bound found nothing better than the
     caller's incumbent within its node budget. The decoded entries are
-    re-executed eagerly (communication order from the [s] values,
-    computation order from the [s'] values), so the result is always a
-    valid schedule at least as good as the MILP times. *)
+    re-executed eagerly in the orders the rounded [a] (link) and [b]
+    (processing unit) variables fix, so the result is always a valid
+    schedule at least as good as the MILP times. *)
 
 val run : ?node_limit:int -> ?boundary:boundary -> k:int -> Instance.t -> Schedule.t
 (** The [lp.k] heuristic: split the submission order into consecutive

@@ -1,24 +1,18 @@
-(* A persistent sharded executor on OCaml 5 domains.
+(* A persistent pool of OCaml 5 worker domains.
 
-   One worker domain per shard, each with two queues under its own small
-   lock: a [pinned] FIFO of affinity tasks (submitted to that shard
-   explicitly, never stolen, executed in submission order by the shard's
-   single worker — this is what gives the runtime service its
-   connection-to-shard affinity and lock-free sessions) and a [runnable]
-   queue of stealable chunk tasks produced by {!parallel_map}.
+   Each worker owns one FIFO of tasks under its own small lock. [submit
+   ~shard] appends to one worker's FIFO, which is what gives the runtime
+   service its connection-to-shard affinity and lock-free sessions: the
+   tasks of one shard run one at a time, in submission order.
 
-   A [parallel_map] call splits its index range into chunks (sized by a
-   measured per-element cost estimate, see [effective_chunk]), pushes one
-   claimable chunk task per chunk round-robin across the shards — waking
-   each shard at most once — and then *helps*: the caller claims and
-   executes chunks itself instead of sleeping, racing the workers through
-   one atomic claim flag per chunk. A worker whose own queues are empty
-   steals chunk tasks from other shards before sleeping. Because the
-   caller can always claim every still-unclaimed chunk of its own job,
-   a job completes even if every worker is busy or asleep — there is no
-   configuration in which [parallel_map] deadlocks, including concurrent
-   calls from several threads (each job carries its own claim flags,
-   completion counter and wakeup).
+   A [parallel_map] call appends one helper closure to each of
+   min(workers, n - 1) FIFOs and runs the same helper on the calling
+   domain. A helper claims the next index from the job's shared counter
+   until none is left. The caller's helper alone can claim every index,
+   so a job completes whatever the workers are doing (no deadlock, also
+   for concurrent calls from several domains), and a helper that runs
+   after its job ended, queued behind a long pinned task, finds no index
+   left and returns at once.
 
    Results land in a preallocated slot per index, so collection is
    deterministic and in index order no matter which domain computed
@@ -26,100 +20,57 @@
 
 type stats = { jobs : int; fallbacks : int; steals : int }
 
-type shard = {
+type worker = {
   mutex : Mutex.t;
   cond : Condition.t;
-  pinned : (unit -> unit) Queue.t;   (* affinity tasks: FIFO, never stolen *)
-  runnable : (unit -> unit) Queue.t; (* stealable parallel_map chunks *)
+  tasks : (unit -> unit) Queue.t;
 }
 
 type t = {
-  shards : shard array;
+  workers : worker array;
   stopped : bool Atomic.t;
   mutable domains : unit Domain.t array;
-  rr : int Atomic.t;          (* rotates chunk placement across shards *)
   jobs : int Atomic.t;        (* parallel_map calls + pinned submissions *)
-  fallbacks : int Atomic.t;   (* parallel_map calls executed inline *)
-  steals : int Atomic.t;      (* chunk tasks taken from another shard *)
-  cost_ns : float Atomic.t;   (* EWMA per-element cost; 0.0 = not yet known *)
+  fallbacks : int Atomic.t;   (* nested parallel_map calls run inline *)
 }
 
 (* True while the current domain is executing pool work: set permanently
-   in worker domains and around chunk execution in helping callers. A
+   in worker domains and around the helper in calling domains. A
    [parallel_map] issued from such a context runs inline (and is counted
    in [fallbacks]) instead of fanning out — the enclosing job already
    owns the domains, and an inner fan-out would only add queue traffic. *)
 let in_pool_context : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let now_ns () = Int64.of_float (1e9 *. Unix.gettimeofday ())
+(* ------------------------- workers, creation -------------------------- *)
 
-(* ----------------------------- workers ------------------------------ *)
-
-(* Tasks must not raise (chunk tasks record failures in their job, the
+(* Tasks must not raise (helpers record failures in their job, the
    server's pinned tasks answer ERR internal); this catch-all is the last
    line of defense so a bug cannot kill a worker domain. *)
 let run_task task = try task () with _ -> ()
 
-let try_steal pool i =
-  let d = Array.length pool.shards in
-  let rec go k =
-    if k >= d then None
-    else
-      let s = pool.shards.((i + k) mod d) in
-      if Mutex.try_lock s.mutex then begin
-        let task =
-          if Queue.is_empty s.runnable then None else Some (Queue.pop s.runnable)
-        in
-        Mutex.unlock s.mutex;
-        match task with
-        | Some _ ->
-            Atomic.incr pool.steals;
-            task
-        | None -> go (k + 1)
-      end
-      else go (k + 1)
-  in
-  go 1
-
-let worker pool i =
+let worker_loop pool w =
   Domain.DLS.set in_pool_context true;
-  let s = pool.shards.(i) in
   let rec loop () =
-    if not (Atomic.get pool.stopped) then begin
-      Mutex.lock s.mutex;
-      let task =
-        if not (Queue.is_empty s.pinned) then Some (Queue.pop s.pinned)
-        else if not (Queue.is_empty s.runnable) then Some (Queue.pop s.runnable)
-        else None
-      in
-      match task with
-      | Some task ->
-          Mutex.unlock s.mutex;
-          run_task task;
-          loop ()
-      | None -> (
-          Mutex.unlock s.mutex;
-          match try_steal pool i with
-          | Some task ->
-              run_task task;
-              loop ()
-          | None ->
-              (* Re-check the local queues under the lock before sleeping:
-                 a submission signals under the same lock, so there is no
-                 window in which a wakeup can be lost. *)
-              Mutex.lock s.mutex;
-              if
-                Queue.is_empty s.pinned
-                && Queue.is_empty s.runnable
-                && not (Atomic.get pool.stopped)
-              then Condition.wait s.cond s.mutex;
-              Mutex.unlock s.mutex;
-              loop ())
+    Mutex.lock w.mutex;
+    (* a submission signals under the same lock, so no wakeup is lost *)
+    while Queue.is_empty w.tasks && not (Atomic.get pool.stopped) do
+      Condition.wait w.cond w.mutex
+    done;
+    if Atomic.get pool.stopped then Mutex.unlock w.mutex
+    else begin
+      let task = Queue.pop w.tasks in
+      Mutex.unlock w.mutex;
+      run_task task;
+      loop ()
     end
   in
   loop ()
 
-(* ----------------------------- creation ----------------------------- *)
+let push w task =
+  Mutex.lock w.mutex;
+  Queue.push task w.tasks;
+  Condition.signal w.cond;
+  Mutex.unlock w.mutex
 
 let default_num_domains () =
   match Sys.getenv_opt "DTSCHED_DOMAINS" with
@@ -143,78 +94,23 @@ let create ?num_domains () =
   in
   let pool =
     {
-      shards =
+      workers =
         Array.init n (fun _ ->
-            {
-              mutex = Mutex.create ();
-              cond = Condition.create ();
-              pinned = Queue.create ();
-              runnable = Queue.create ();
-            });
+            { mutex = Mutex.create (); cond = Condition.create (); tasks = Queue.create () });
       stopped = Atomic.make false;
       domains = [||];
-      rr = Atomic.make 0;
       jobs = Atomic.make 0;
       fallbacks = Atomic.make 0;
-      steals = Atomic.make 0;
-      cost_ns = Atomic.make 0.0;
     }
   in
-  pool.domains <- Array.init n (fun i -> Domain.spawn (fun () -> worker pool i));
+  pool.domains <-
+    Array.map (fun w -> Domain.spawn (fun () -> worker_loop pool w)) pool.workers;
   pool
 
-let num_domains pool = Array.length pool.shards
+let num_domains pool = Array.length pool.workers
 
 let stats pool =
-  {
-    jobs = Atomic.get pool.jobs;
-    fallbacks = Atomic.get pool.fallbacks;
-    steals = Atomic.get pool.steals;
-  }
-
-(* ------------------------ granularity control ------------------------ *)
-
-(* Aim for chunks worth ~200us of measured work — enough to amortize a
-   shard wakeup and a queue round trip thousands of times over — while
-   keeping at least two chunks per domain available for stealing when the
-   input is large. Without a cost estimate yet, fall back to the shape
-   heuristic of one-quarter range per domain. *)
-let target_chunk_ns = 200_000.0
-
-(* A whole job predicted cheaper than this is not worth waking anyone
-   for: it runs inline in the caller (counted in [fallbacks]). *)
-let inline_cutoff_ns = 50_000.0
-
-let observe_cost pool ~elements ~busy_ns =
-  if elements > 0 && busy_ns > 0L then begin
-    let per = Int64.to_float busy_ns /. Float.of_int elements in
-    let rec update () =
-      let old = Atomic.get pool.cost_ns in
-      let next = if old <= 0.0 then per else (0.75 *. old) +. (0.25 *. per) in
-      if not (Atomic.compare_and_set pool.cost_ns old next) then update ()
-    in
-    update ()
-  end
-
-let effective_chunk pool ?(min_chunk = 1) n =
-  if min_chunk < 1 then
-    invalid_arg
-      (Printf.sprintf "Pool.parallel_map: min_chunk must be positive (got %d)"
-         min_chunk);
-  if n <= 1 then max 1 n
-  else begin
-    let d = Array.length pool.shards in
-    (* keep >= 2 chunks per domain when the input allows it, for balance *)
-    let balance_cap = max 1 ((n + (2 * d) - 1) / (2 * d)) in
-    let desired =
-      let c = Atomic.get pool.cost_ns in
-      if c <= 0.0 then (n + (4 * d) - 1) / (4 * d) (* ceil n / 4d *)
-      else int_of_float (target_chunk_ns /. c)
-    in
-    max min_chunk (max 1 (min balance_cap desired))
-  end
-
-let chunk_size pool ?min_chunk n = effective_chunk pool ?min_chunk n
+  { jobs = Atomic.get pool.jobs; fallbacks = Atomic.get pool.fallbacks; steals = 0 }
 
 (* --------------------------- parallel_map ---------------------------- *)
 
@@ -222,139 +118,79 @@ let check_running pool what =
   if Atomic.get pool.stopped then
     invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" what)
 
-let run_inline ?(count_fallback = true) pool f a =
-  if count_fallback then Atomic.incr pool.fallbacks;
-  let t0 = now_ns () in
-  let results = Array.map f a in
-  observe_cost pool ~elements:(Array.length a)
-    ~busy_ns:(Int64.sub (now_ns ()) t0);
-  results
-
-let fanout pool ?min_chunk f a n =
-  let chunk = effective_chunk pool ?min_chunk n in
-  let n_chunks = (n + chunk - 1) / chunk in
+let fanout pool f a n =
   let results = Array.make n None in
-  let taken = Array.init n_chunks (fun _ -> Atomic.make false) in
-  let completed = Atomic.make 0 in
-  let busy_ns = Atomic.make 0L in
+  let next = Atomic.make 0 and finished = Atomic.make 0 in
   let failure = Atomic.make None in
-  let done_mutex = Mutex.create () in
-  let done_cond = Condition.create () in
-  let execute k =
-    let start = k * chunk in
-    let stop = min n (start + chunk) in
+  let done_mutex = Mutex.create () and done_cond = Condition.create () in
+  let helper () =
     let previous = Domain.DLS.get in_pool_context in
     Domain.DLS.set in_pool_context true;
-    (if Atomic.get failure = None then
-       try
-         let t0 = now_ns () in
-         for i = start to stop - 1 do
-           results.(i) <- Some (f a.(i))
-         done;
-         let rec add delta =
-           let old = Atomic.get busy_ns in
-           if not (Atomic.compare_and_set busy_ns old (Int64.add old delta))
-           then add delta
-         in
-         add (Int64.sub (now_ns ()) t0)
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-    Domain.DLS.set in_pool_context previous;
-    (* account skipped-after-failure chunks too, so [completed] always
-       converges to [n] and nobody waits on an abandoned tail *)
-    if Atomic.fetch_and_add completed (stop - start) + (stop - start) >= n
-    then begin
-      Mutex.lock done_mutex;
-      Condition.broadcast done_cond;
-      Mutex.unlock done_mutex
-    end
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (if Atomic.get failure = None then
+           try results.(i) <- Some (f a.(i))
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+        (* indices skipped after a failure count too, so [finished]
+           always reaches [n] and nobody waits on an abandoned tail *)
+        if Atomic.fetch_and_add finished 1 = n - 1 then begin
+          Mutex.lock done_mutex;
+          Condition.broadcast done_cond;
+          Mutex.unlock done_mutex
+        end;
+        claim ()
+      end
+    in
+    claim ();
+    Domain.DLS.set in_pool_context previous
   in
-  let try_run k =
-    if Atomic.compare_and_set taken.(k) false true then execute k
-  in
-  (* distribute the chunk tasks round-robin over the shards, grouping the
-     pushes so each shard is locked and woken at most once per job *)
-  let d = Array.length pool.shards in
-  let origin = Atomic.fetch_and_add pool.rr 1 in
-  let per_shard = Array.make d [] in
-  for k = n_chunks - 1 downto 0 do
-    let s = (origin + k) mod d in
-    per_shard.(s) <- k :: per_shard.(s)
+  for w = 0 to min (Array.length pool.workers) (n - 1) - 1 do
+    push pool.workers.(w) helper
   done;
-  Array.iteri
-    (fun si ks ->
-      if ks <> [] then begin
-        let s = pool.shards.(si) in
-        Mutex.lock s.mutex;
-        List.iter (fun k -> Queue.push (fun () -> try_run k) s.runnable) ks;
-        Condition.signal s.cond;
-        Mutex.unlock s.mutex
-      end)
-    per_shard;
-  (* caller-help: claim chunks instead of sleeping — this is also what
-     makes the executor deadlock-free, whatever the workers are doing *)
-  for k = 0 to n_chunks - 1 do
-    try_run k
-  done;
+  helper ();
+  (* the slots are read only once [finished] says every write is done *)
   Mutex.lock done_mutex;
-  while Atomic.get completed < n do
+  while Atomic.get finished < n do
     Condition.wait done_cond done_mutex
   done;
   Mutex.unlock done_mutex;
-  (match Atomic.get failure with
-  | Some _ -> ()
-  | None -> observe_cost pool ~elements:n ~busy_ns:(Atomic.get busy_ns));
   match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> Array.map (function Some v -> v | None -> assert false) results
 
-let parallel_map ?min_chunk pool f a =
+let parallel_map pool f a =
   check_running pool "parallel_map";
-  (match min_chunk with
-  | Some m when m < 1 ->
-      invalid_arg
-        (Printf.sprintf "Pool.parallel_map: min_chunk must be positive (got %d)" m)
-  | _ -> ());
   Atomic.incr pool.jobs;
   let n = Array.length a in
-  if n <= 1 then run_inline ~count_fallback:false pool f a
-  else if Domain.DLS.get in_pool_context then
+  if n <= 1 then Array.map f a
+  else if Domain.DLS.get in_pool_context then begin
     (* nested call from inside pool work: the enclosing job already owns
        the domains — run inline, visibly (see stats.fallbacks) *)
-    run_inline pool f a
-  else
-    let c = Atomic.get pool.cost_ns in
-    if c > 0.0 && Float.of_int n *. c < inline_cutoff_ns then
-      (* the whole job is cheaper than a wakeup: batching it onto the
-         caller *is* the granularity control *)
-      run_inline pool f a
-    else fanout pool ?min_chunk f a n
+    Atomic.incr pool.fallbacks;
+    Array.map f a
+  end
+  else fanout pool f a n
 
-(* ------------------------- pinned submission ------------------------- *)
+(* ------------------------ submission, shutdown ------------------------ *)
 
 let submit pool ~shard task =
   check_running pool "submit";
-  let d = Array.length pool.shards in
   if shard < 0 then
     invalid_arg (Printf.sprintf "Pool.submit: shard must be >= 0 (got %d)" shard);
-  let s = pool.shards.(shard mod d) in
   Atomic.incr pool.jobs;
-  Mutex.lock s.mutex;
-  Queue.push task s.pinned;
-  Condition.signal s.cond;
-  Mutex.unlock s.mutex
-
-(* ----------------------------- shutdown ------------------------------ *)
+  push pool.workers.(shard mod Array.length pool.workers) task
 
 let shutdown pool =
   if not (Atomic.exchange pool.stopped true) then begin
     Array.iter
-      (fun s ->
-        Mutex.lock s.mutex;
-        Condition.broadcast s.cond;
-        Mutex.unlock s.mutex)
-      pool.shards;
+      (fun w ->
+        Mutex.lock w.mutex;
+        Condition.broadcast w.cond;
+        Mutex.unlock w.mutex)
+      pool.workers;
     Array.iter Domain.join pool.domains
   end
 

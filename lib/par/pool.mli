@@ -1,21 +1,18 @@
-(** A persistent sharded executor on OCaml 5 domains.
+(** A persistent pool of worker domains on OCaml 5.
 
-    The pool owns one worker domain per shard. Each shard has a small
-    private lock guarding two queues: a FIFO of {e pinned} tasks
-    (submitted to that shard explicitly with {!submit}, executed in
-    order by the shard's single worker, never stolen — the basis for the
-    runtime server's connection-to-shard affinity) and a queue of
-    {e stealable} chunk tasks produced by {!parallel_map}.
+    Each worker domain owns one FIFO of tasks under a small private
+    lock. {!submit} appends to one worker's FIFO: the tasks of one shard
+    run one at a time, in submission order — the basis for the runtime
+    server's connection-to-shard affinity.
 
-    {!parallel_map} splits the input into chunks sized by a measured
-    per-element cost estimate, scatters one claimable task per chunk
-    across the shards, and then helps: the calling domain claims and
-    executes chunks alongside the workers, so a job always completes
-    even if every worker is busy — concurrent and nested calls cannot
-    deadlock. Idle workers steal chunk tasks from other shards before
-    sleeping. Results are collected into per-index slots, so the output
-    is bit-identical to [Array.map f a] regardless of which domain
-    computed which element. *)
+    {!parallel_map} appends one helper to each of min(workers, n - 1)
+    FIFOs and runs the same helper on the calling domain; every helper
+    claims the next index from the job's shared counter until none is
+    left. So [d] workers and the caller compute on [d + 1] domains, and a
+    job always completes even if every worker is busy — concurrent and
+    nested calls cannot deadlock. Results are collected into per-index
+    slots, so the output is bit-identical to [Array.map f a] regardless
+    of which domain computed which element. *)
 
 type t
 (** A pool of worker domains. Create once, reuse across many calls. *)
@@ -26,13 +23,14 @@ type stats = {
           {!submit} tasks *)
   fallbacks : int;
       (** [parallel_map] calls that ran inline on the caller instead of
-          fanning out — nested calls from inside pool work, and jobs
-          predicted cheaper than a worker wakeup. A high ratio of
-          [fallbacks] to [jobs] means the pool is configured or used in
-          a way where parallelism never engages. *)
+          fanning out because they were issued from inside pool work
+          (nested parallelism). A high ratio of [fallbacks] to [jobs]
+          means the pool is used in a way where parallelism never
+          engages. *)
   steals : int;
-      (** chunk tasks executed by a worker that took them from another
-          shard's queue *)
+      (** always 0: the pool has no work stealing. The field stays
+          because perfbench's per-layer report ([par.steals]) still
+          reads it. *)
 }
 
 val create : ?num_domains:int -> unit -> t
@@ -51,42 +49,27 @@ val num_domains : t -> int
 val stats : t -> stats
 (** Monotone counters since {!create}. Cheap; safe from any domain. *)
 
-val parallel_map : ?min_chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f a] is [Array.map f a], computed cooperatively
-    by the calling domain and the pool's workers. Bit-identical to the
-    sequential map; if any [f] application raises, the first such
-    exception is re-raised in the caller (with its backtrace) after the
-    job quiesces, and the pool remains usable.
+    by the calling domain and the pool's workers, which claim indices
+    one at a time from a shared counter. Bit-identical to the sequential
+    map; if any [f] application raises, the first such exception is
+    re-raised in the caller (with its backtrace) after the job
+    quiesces, and the pool remains usable.
 
-    [min_chunk] (default 1) floors the chunk size: no task smaller than
-    [min_chunk] elements is created, which caps scheduling overhead for
-    maps over many very cheap elements. The effective chunk size also
-    accounts for a running estimate of per-element cost — see
-    {!chunk_size}.
+    Inputs of at most one element run inline. Calls from inside pool
+    work (nested parallelism) run inline too and are counted in
+    {!stats}[.fallbacks].
 
-    Calls from inside pool work (nested parallelism) and jobs predicted
-    cheaper than a worker wakeup run inline on the caller; both are
-    counted in {!stats}[.fallbacks].
-
-    @raise Invalid_argument if the pool is shut down or [min_chunk < 1]. *)
-
-val chunk_size : t -> ?min_chunk:int -> int -> int
-(** [chunk_size pool ?min_chunk n] is the chunk size {!parallel_map}
-    would use right now for an [n]-element input: the measured-cost
-    target (about 200us of work per chunk) when a cost estimate exists,
-    otherwise [n / (4 * num_domains)] rounded up — in both cases capped
-    so at least two chunks per domain exist when [n] allows, and floored
-    by [min_chunk]. Exposed for tests and introspection; the estimate
-    evolves as jobs run. *)
+    @raise Invalid_argument if the pool is shut down. *)
 
 val submit : t -> shard:int -> (unit -> unit) -> unit
 (** [submit pool ~shard task] enqueues [task] on shard
     [shard mod num_domains pool]. Pinned tasks on the same shard are
     executed sequentially, in submission order, by that shard's single
     worker domain — two tasks pinned to the same shard never run
-    concurrently, which lets per-shard state go lock-free. Pinned tasks
-    are never stolen. [task] must not raise; exceptions escaping it are
-    discarded.
+    concurrently, which lets per-shard state go lock-free. [task] must
+    not raise; exceptions escaping it are discarded.
 
     @raise Invalid_argument if the pool is shut down or [shard < 0]. *)
 

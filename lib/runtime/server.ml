@@ -398,10 +398,8 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     | None -> backend ^ alloc
     | Some p ->
         let s = Dt_par.Pool.stats p in
-        Printf.sprintf
-          "shard=%d %s pool_jobs=%d pool_fallbacks=%d pool_steals=%d%s" shard
-          backend s.Dt_par.Pool.jobs s.Dt_par.Pool.fallbacks
-          s.Dt_par.Pool.steals alloc
+        Printf.sprintf "shard=%d %s pool_jobs=%d pool_fallbacks=%d%s" shard
+          backend s.Dt_par.Pool.jobs s.Dt_par.Pool.fallbacks alloc
   in
   (* Hand a connection's queued items to its shard, unless a batch is
      already in flight there (per-connection order) or inline when the

@@ -28,7 +28,7 @@
     head-of-line blocking). An idle or slow connection costs one fd
     and nothing else: no domain is parked on it. [STATS] responses
     carry the poller backend and, with a pool, the connection's shard
-    and the pool's job/fallback/steal counters. Without a pool,
+    and the pool's job/fallback counters. Without a pool,
     batches are processed inline on the loop — the single-shard
     collapse; concurrency across connections still holds because no
     connection ever blocks the loop's reads.

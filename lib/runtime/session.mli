@@ -13,7 +13,7 @@ val create : ?info:(unit -> string) -> unit -> t
     [info] (default: returns [""]) supplies host-side [key=value] fields
     that are appended, space-separated, to every [STATS] response — the
     TCP server reports the connection's shard and the pool's job /
-    fallback / steal counters through it. An empty result appends
+    fallback counters through it. An empty result appends
     nothing; an exception from [info] is treated as empty. *)
 
 val engine : t -> Engine.t option

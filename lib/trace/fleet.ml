@@ -63,9 +63,9 @@ let run ?(capacity_factor = 1.5) ?pool policy traces =
   if Array.length traces = 0 then invalid_arg "Fleet.run: empty trace set";
   let processes =
     (* the per-process schedulers are independent (the paper's 150 workers
-       never interact): the sharded executor chunks the traces across its
-       domains (work stealing rebalances uneven processes) and returns the
-       outcomes in trace order, bit-identical to the sequential map *)
+       never interact): the pool's domains claim traces one at a time, so
+       uneven processes balance themselves, and the outcomes come back in
+       trace order, bit-identical to the sequential map *)
     match pool with
     | None -> Array.map (run_process ~capacity_factor policy) traces
     | Some pool ->

@@ -19,6 +19,26 @@ let chunk_solves_tiny_exactly () =
       let exact = Schedule.makespan (Exact.best_free_order tiny) in
       check_float "matches exact free-order optimum" exact (Schedule.makespan s)
 
+(* Two computations start at the same instant here (task 2's is
+   zero-length), so sorting by the float start times may swap them; the
+   decoded schedule must keep the MILP's order and its optimum of 12. *)
+let chunk_keeps_milp_order_on_ties () =
+  let i =
+    Instance.of_triples ~capacity:7.0
+      [ (4.0, 0.0); (3.0, 2.0); (0.5, 0.0); (4.0, 3.5) ]
+  in
+  match
+    Lp_schedule.solve_chunk ~boundary:Lp_schedule.initial_boundary
+      ~capacity:i.Instance.capacity (Instance.task_list i)
+  with
+  | None -> Alcotest.fail "MILP found nothing (the incumbent is not optimal here)"
+  | Some entries ->
+      let s = Schedule.make ~capacity:i.Instance.capacity entries in
+      Alcotest.(check bool) "valid" true (Schedule.check s = Ok ());
+      check_float "matches exact free-order optimum"
+        (Schedule.makespan (Exact.best_free_order i))
+        (Schedule.makespan s)
+
 let lp_k_runs_in_chunks () =
   let i =
     Instance.of_triples ~capacity:5.0
@@ -71,6 +91,8 @@ let prop_lp_k_valid =
 let suite =
   [
     Alcotest.test_case "single chunk solves exactly" `Quick chunk_solves_tiny_exactly;
+    Alcotest.test_case "chunk decode keeps the MILP order on ties" `Quick
+      chunk_keeps_milp_order_on_ties;
     Alcotest.test_case "lp.k chunked run" `Quick lp_k_runs_in_chunks;
     Alcotest.test_case "lp.k validation" `Quick lp_k_validation;
     prop_lp_chunk_at_least_free_optimum;

@@ -22,7 +22,7 @@ let map_matches_sequential () =
         (Printf.sprintf "string map, n = %d" n)
         (Array.map g a)
         (Dt_par.Pool.parallel_map pool g a))
-    [ 0; 1; 2; 3; 7; 64; 1000 ]
+    [ 0; 1; 2; 3; 4; 7; 12; 64; 1000 ]
 
 let exceptions_propagate () =
   let pool = Lazy.force pool in
@@ -116,22 +116,6 @@ let fleet_parallel_is_sequential () =
     (same_outcomes (Dt_trace.Fleet.run fixed traces)
        (Dt_trace.Fleet.run ~pool:(Lazy.force pool) fixed traces))
 
-let auto_parallel_is_sequential () =
-  let traces = hf_like_traces ~traces:4 ~tasks_per_trace:60 in
-  Array.iter
-    (fun trace ->
-      let m_c = Dt_trace.Trace.min_capacity trace in
-      let instance = Dt_trace.Trace.to_instance trace ~capacity:(1.25 *. m_c) in
-      let h_seq, s_seq = Auto.select instance in
-      let h_par, s_par = Auto.select ~pool:(Lazy.force pool) instance in
-      Alcotest.(check string)
-        "same winner (tie-broken by candidate order)"
-        (Heuristic.name h_seq) (Heuristic.name h_par);
-      Alcotest.(check (float 0.0))
-        "same makespan"
-        (Schedule.makespan s_seq) (Schedule.makespan s_par))
-    traces
-
 (* Regression: shutdown semantics are defined — double shutdown is a
    no-op, any parallel_map afterwards (including the small-array fast
    path) raises, and non-positive domain counts are rejected at create. *)
@@ -171,46 +155,44 @@ let stats_expose_fallbacks () =
       Alcotest.(check bool) "steal counter is non-negative" true
         (s.Dt_par.Pool.steals >= 0))
 
-(* Satellite: chunk sizing at the boundary sizes n = d, d+1, 4d. An
-   uncalibrated pool must produce sane chunks (no empty chunk, never
-   larger than the balance cap), and min_chunk floors the result. *)
-let chunk_size_boundaries () =
-  Dt_par.Pool.with_pool ~num_domains:3 (fun p ->
+(* Caller-help: with every worker blocked behind a pinned task, the
+   calling domain must claim every index itself. The blockers wait on a
+   latch with a deadline, so a caller that waits for its helpers fails
+   the test instead of hanging it. Once released, the workers run the
+   first job's stale helpers, which must find no index left. *)
+let caller_helps_when_workers_are_blocked () =
+  Dt_par.Pool.with_pool ~num_domains:2 (fun p ->
       let d = Dt_par.Pool.num_domains p in
-      List.iter
-        (fun n ->
-          let c = Dt_par.Pool.chunk_size p n in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk for n=%d is positive" n)
-            true (c >= 1);
-          let balance_cap = max 1 ((n + (2 * d) - 1) / (2 * d)) in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk for n=%d leaves >= 2 chunks per domain" n)
-            true
-            (c <= balance_cap);
-          (* min_chunk floors the size even past the balance cap *)
-          Alcotest.(check int)
-            (Printf.sprintf "min_chunk floors n=%d" n)
-            (max 16 c)
-            (Dt_par.Pool.chunk_size p ~min_chunk:16 n))
-        [ d; d + 1; 4 * d ];
-      (* a degenerate 1-element-per-domain split is still correct *)
-      List.iter
-        (fun n ->
-          let a = Array.init n (fun i -> i) in
-          Alcotest.(check (array int))
-            (Printf.sprintf "map at boundary n=%d" n)
-            (Array.map succ a)
-            (Dt_par.Pool.parallel_map p succ a);
-          Alcotest.(check (array int))
-            (Printf.sprintf "map at boundary n=%d with min_chunk" n)
-            (Array.map succ a)
-            (Dt_par.Pool.parallel_map ~min_chunk:8 p succ a))
-        [ d; d + 1; 4 * d ];
-      Alcotest.check_raises "min_chunk must be positive"
-        (Invalid_argument
-           "Pool.parallel_map: min_chunk must be positive (got 0)")
-        (fun () -> ignore (Dt_par.Pool.parallel_map ~min_chunk:0 p succ [| 1; 2; 3 |])))
+      let release = Atomic.make false and timed_out = Atomic.make 0 in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      for shard = 0 to d - 1 do
+        Dt_par.Pool.submit p ~shard (fun () ->
+            while (not (Atomic.get release)) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.001
+            done;
+            if not (Atomic.get release) then Atomic.incr timed_out)
+      done;
+      let a = Array.init 200 (fun i -> i) in
+      let f x = (x * 7) + (x mod 5) in
+      Alcotest.(check (array int))
+        "map with every worker blocked" (Array.map f a)
+        (Dt_par.Pool.parallel_map p f a);
+      Alcotest.(check int) "no blocker reached its deadline" 0 (Atomic.get timed_out);
+      Atomic.set release true;
+      (* a marker behind each shard's stale helper: once every marker has
+         run, so has every helper of the first job *)
+      let markers = Atomic.make 0 in
+      for shard = 0 to d - 1 do
+        Dt_par.Pool.submit p ~shard (fun () -> Atomic.incr markers)
+      done;
+      while Atomic.get markers < d && Unix.gettimeofday () < deadline +. 5.0 do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check int) "stale helpers and markers ran" d (Atomic.get markers);
+      let g x = (x * 3) - 1 in
+      Alcotest.(check (array int))
+        "map after the stale helpers ran" (Array.map g a)
+        (Dt_par.Pool.parallel_map p g a))
 
 (* Concurrent parallel_map calls from several domains on one pool: each
    caller helps with its own job's chunks, so all of them complete and
@@ -280,12 +262,11 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick exceptions_propagate;
     Alcotest.test_case "nested calls fall back to sequential" `Quick nested_calls_degrade;
     Alcotest.test_case "stats expose inline fallbacks" `Quick stats_expose_fallbacks;
-    Alcotest.test_case "chunk sizing at boundary sizes" `Quick chunk_size_boundaries;
+    Alcotest.test_case "caller computes while every worker is blocked" `Quick
+      caller_helps_when_workers_are_blocked;
     Alcotest.test_case "concurrent callers all complete" `Quick concurrent_callers;
     Alcotest.test_case "pinned submit is FIFO per shard" `Quick submit_is_ordered_per_shard;
     prop_parallel_map_is_map;
     Alcotest.test_case "fleet: pool = sequential, bit for bit" `Quick
       fleet_parallel_is_sequential;
-    Alcotest.test_case "auto: pool = sequential winner" `Quick
-      auto_parallel_is_sequential;
   ]
