@@ -201,14 +201,14 @@ let tcp_throughput ~requests =
         percentile latencies 0.99,
         server_mwpr ))
 
-(* Aggregate throughput of N concurrent clients against one sharded
-   server. Forked processes, not domains: each client and the server own
-   their entire runtime, so the measurement reflects the server's
-   multiplexing and shard fan-out — not stop-the-world GC coupling
-   between in-process load generators, which is what made the old
-   domain-based variant report *less* aggregate throughput at 4 clients
-   than at 1. Must run before this process spawns any domain (fork and
-   live domains don't mix); Online.run orders its parts accordingly.
+(* Aggregate throughput of N concurrent clients against one server.
+   Forked processes, not domains: each client and the server own their
+   entire runtime, so the measurement reflects the server's
+   multiplexing — not stop-the-world GC coupling between in-process
+   load generators, which is what made the old domain-based variant
+   report *less* aggregate throughput at 4 clients than at 1. Must run
+   before this process spawns any domain (fork and live domains don't
+   mix); Online.run orders its parts accordingly.
    [binary] negotiates the length-prefixed framing at INIT; [pipeline]
    keeps that many SUBMITs in flight per window (in binary mode one
    window is one frame, i.e. one engine pass on the server). Each
@@ -222,11 +222,7 @@ let tcp_client_sweep ?(binary = false) ?(pipeline = 1) ~clients ~requests () =
   let server_pid =
     match Unix.fork () with
     | 0 ->
-        (* the pool domains are spawned after the fork, in this child *)
-        (try
-           Dt_par.Pool.with_pool (fun pool ->
-               Dt_runtime.Server.run ~pool server)
-         with _ -> ());
+        (try Dt_runtime.Server.run server with _ -> ());
         exit 0
     | pid -> pid
   in

@@ -317,11 +317,11 @@ let svg_cmd =
 (* fleet                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Parallel-run health, visible outside the server's STATS verb: shard
-   count plus the pool's job/fallback counters. *)
+(* Parallel-run health: worker count plus the pool's job/fallback
+   counters. *)
 let pool_stats_line pool =
   let stats = Dt_par.Pool.stats pool in
-  Printf.printf "pool: shards=%d jobs=%d fallbacks=%d\n"
+  Printf.printf "pool: workers=%d jobs=%d fallbacks=%d\n"
     (Dt_par.Pool.num_domains pool)
     stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks
 
@@ -360,9 +360,9 @@ let fleet dir prefix factor domains =
            Option.map
              (fun pool ->
                let stats = Dt_par.Pool.stats pool in
-               let shards = Dt_par.Pool.num_domains pool in
+               let workers = Dt_par.Pool.num_domains pool in
                fun () ->
-                 Printf.printf "pool: shards=%d jobs=%d fallbacks=%d\n" shards
+                 Printf.printf "pool: workers=%d jobs=%d fallbacks=%d\n" workers
                    stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks)
              pool )))
 
@@ -566,7 +566,7 @@ let cluster_cmd =
 (* serve                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let serve host port port_file stdio domains backend max_conns max_output_bytes
+let serve host port port_file stdio backend max_conns max_output_bytes
     idle_timeout =
   if stdio then Ok (Dt_runtime.Server.serve_stdio ())
   else if backend = `Epoll && not Dt_runtime.Poller.epoll_available then
@@ -613,9 +613,9 @@ let serve host port port_file stdio domains backend max_conns max_output_bytes
                 Printf.fprintf oc "%d\n" bound;
                 close_out oc
           in
-          with_optional_pool domains (fun pool ->
-              Dt_runtime.Server.run ?pool ~backend ~max_conns ~max_output_bytes
-                ~idle_timeout ~on_listen server)
+          Ok
+            (Dt_runtime.Server.run ~backend ~max_conns ~max_output_bytes
+               ~idle_timeout ~on_listen server)
 
 let serve_cmd =
   let host =
@@ -637,21 +637,6 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "stdio" ] ~doc:"Serve a single session over stdin/stdout instead of TCP.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some domains_conv) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Run $(docv) engine shards, one domain each (0 = pick \
-             automatically from DTSCHED_DOMAINS or the host's core count). \
-             Each connection is pinned to one shard for its lifetime and its \
-             requests run there, off the event loop, so a slow request only \
-             delays its own shard ($(b,STATS) reports the shard and the \
-             pool's job/fallback counters). Without this option \
-             requests are processed on the event loop itself; connections \
-             are multiplexed and never block each other's reads either way.")
   in
   let backend =
     let backend_conv =
@@ -713,8 +698,8 @@ let serve_cmd =
        ~doc:"Online scheduling service (newline-delimited protocol over TCP or stdio)")
     Term.(
       term_result
-        (const serve $ host $ port $ port_file $ stdio $ domains $ backend
-       $ max_conns $ max_output_bytes $ idle_timeout))
+        (const serve $ host $ port $ port_file $ stdio $ backend $ max_conns
+       $ max_output_bytes $ idle_timeout))
 
 (* ------------------------------------------------------------------ *)
 (* client                                                               *)

@@ -94,6 +94,79 @@ wait "$server_pid" 2>/dev/null || true
 kill "$idle2_pid" 2>/dev/null || true
 echo "server shut down cleanly with a client still connected"
 
+echo "== fd-exhaustion smoke =="
+# Out of fds, accept fails with EMFILE while the pending connection
+# keeps the listener readable: a server that keeps polling the listener
+# then spins a core for as long as the fds stay exhausted. A server
+# limited to 32 fds holds 40 idle clients (the surplus waits in the
+# listen backlog); its CPU time over 2 s must stay under half a core,
+# and once 20 clients close, a STATS probe must be answered within 5 s.
+if [ ! -r /proc/self/stat ]; then
+  echo "NOTICE: /proc is absent; fd-exhaustion smoke skipped"
+else
+  (ulimit -n 32; exec "$DTSCHED" serve -p 0 --port-file "$tmp/port-fds") \
+    >"$tmp/server-fds.log" 2>&1 &
+  fds_pid=$!
+  i=0
+  while [ ! -s "$tmp/port-fds" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "FAIL: fd-limited server did not write its port file" >&2
+      kill "$fds_pid" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+  fds_port=$(cat "$tmp/port-fds")
+  clients=""
+  i=0
+  while [ "$i" -lt 40 ]; do
+    sleep 30 | "$DTSCHED" client -p "$fds_port" >/dev/null 2>&1 &
+    clients="$clients $!"
+    i=$((i + 1))
+  done
+  sleep 1
+  # utime + stime, in clock ticks (fields 14 and 15)
+  cpu_ticks() { awk '{ print $14 + $15 }' "/proc/$fds_pid/stat"; }
+  t0=$(cpu_ticks)
+  sleep 2
+  t1=$(cpu_ticks)
+  fds_cpu=$(awk -v a="$t0" -v b="$t1" -v hz="$(getconf CLK_TCK)" \
+    'BEGIN { printf "%.2f", (b - a) / hz / 2 }')
+  stop_fds() {
+    # shellcheck disable=SC2086
+    kill $clients "$fds_pid" 2>/dev/null || true
+    wait "$fds_pid" 2>/dev/null || true
+  }
+  if awk -v c="$fds_cpu" 'BEGIN { exit !(c > 0.5) }'; then
+    echo "FAIL: server out of fds used ${fds_cpu} of a core while idle" >&2
+    stop_fds
+    exit 1
+  fi
+  n=0
+  for pid in $clients; do
+    [ "$n" -lt 20 ] || break
+    kill "$pid" 2>/dev/null || true
+    n=$((n + 1))
+  done
+  printf 'STATS\n' | "$DTSCHED" client -p "$fds_port" >"$tmp/probe-fds.out" 2>&1 &
+  probe_pid=$!
+  i=0
+  while ! grep -q '^OK' "$tmp/probe-fds.out"; do
+    i=$((i + 1))
+    if [ "$i" -gt 50 ]; then
+      echo "FAIL: STATS probe not answered within 5 s after 20 clients closed" >&2
+      kill "$probe_pid" 2>/dev/null || true
+      stop_fds
+      exit 1
+    fi
+    sleep 0.1
+  done
+  wait "$probe_pid" 2>/dev/null || true
+  stop_fds
+  echo "fd-exhaustion smoke OK: ${fds_cpu} of a core while out of fds; backlog served after closes"
+fi
+
 echo "== perfbench output checks =="
 # One short run per benchmark workload, for its output checks: every
 # served DRAIN must equal the offline Corrected_rules OOSCMR schedule bit
@@ -137,7 +210,7 @@ echo "== scaling experiment (fast workload) =="
 EXPERIMENTS=scaling DTSCHED_FAST=1 dune exec bench/main.exe
 
 echo "== multi-domain fleet speedup gate =="
-# The sharded executor must actually win when there is hardware to win
+# The domain pool must actually win when there is hardware to win
 # on: with >= 2 cores, the best multi-domain fleet run must beat the
 # sequential baseline. Single-core runners cannot show a speedup by
 # construction (domains time-slice one core and couple their GCs), so

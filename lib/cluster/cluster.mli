@@ -50,7 +50,7 @@ val run :
     planning capacity, independent of the node capacities), places the
     processes (default {!Topology.block_placement}), balances, simulates
     both placements and keeps the better one. With [?pool] the
-    per-process planning fans out over the sharded executor,
+    per-process planning fans out over the domain pool,
     bit-identical to the sequential run.
 
     Raises [Invalid_argument] on an empty trace set, a placement of the

@@ -1,18 +1,14 @@
 (* A persistent pool of OCaml 5 worker domains.
 
-   Each worker owns one FIFO of tasks under its own small lock. [submit
-   ~shard] appends to one worker's FIFO, which is what gives the runtime
-   service its connection-to-shard affinity and lock-free sessions: the
-   tasks of one shard run one at a time, in submission order.
-
-   A [parallel_map] call appends one helper closure to each of
-   min(workers, n - 1) FIFOs and runs the same helper on the calling
-   domain. A helper claims the next index from the job's shared counter
-   until none is left. The caller's helper alone can claim every index,
-   so a job completes whatever the workers are doing (no deadlock, also
-   for concurrent calls from several domains), and a helper that runs
-   after its job ended, queued behind a long pinned task, finds no index
-   left and returns at once.
+   The workers share one FIFO of tasks under one lock. A [parallel_map]
+   call appends min(workers, n - 1) copies of one helper closure to it
+   and runs the same helper on the calling domain. A helper claims the
+   next index from the job's shared counter until none is left. The
+   caller's helper alone can claim every index, so a job completes
+   whatever the workers are doing (no deadlock, also for concurrent
+   calls from several domains), and a helper that runs after its job
+   ended, queued behind another job's work, finds no index left and
+   returns at once.
 
    Results land in a preallocated slot per index, so collection is
    deterministic and in index order no matter which domain computed
@@ -20,17 +16,13 @@
 
 type stats = { jobs : int; fallbacks : int; steals : int }
 
-type worker = {
+type t = {
   mutex : Mutex.t;
   cond : Condition.t;
   tasks : (unit -> unit) Queue.t;
-}
-
-type t = {
-  workers : worker array;
   stopped : bool Atomic.t;
   mutable domains : unit Domain.t array;
-  jobs : int Atomic.t;        (* parallel_map calls + pinned submissions *)
+  jobs : int Atomic.t;        (* parallel_map calls *)
   fallbacks : int Atomic.t;   (* nested parallel_map calls run inline *)
 }
 
@@ -43,34 +35,28 @@ let in_pool_context : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* ------------------------- workers, creation -------------------------- *)
 
-(* Tasks must not raise (helpers record failures in their job, the
-   server's pinned tasks answer ERR internal); this catch-all is the last
-   line of defense so a bug cannot kill a worker domain. *)
+(* Helpers record failures in their job and never raise; this
+   catch-all is the last line of defense so a bug cannot kill a worker
+   domain. *)
 let run_task task = try task () with _ -> ()
 
-let worker_loop pool w =
+let worker_loop pool =
   Domain.DLS.set in_pool_context true;
   let rec loop () =
-    Mutex.lock w.mutex;
-    (* a submission signals under the same lock, so no wakeup is lost *)
-    while Queue.is_empty w.tasks && not (Atomic.get pool.stopped) do
-      Condition.wait w.cond w.mutex
+    Mutex.lock pool.mutex;
+    (* a push broadcasts under the same lock, so no wakeup is lost *)
+    while Queue.is_empty pool.tasks && not (Atomic.get pool.stopped) do
+      Condition.wait pool.cond pool.mutex
     done;
-    if Atomic.get pool.stopped then Mutex.unlock w.mutex
+    if Atomic.get pool.stopped then Mutex.unlock pool.mutex
     else begin
-      let task = Queue.pop w.tasks in
-      Mutex.unlock w.mutex;
+      let task = Queue.pop pool.tasks in
+      Mutex.unlock pool.mutex;
       run_task task;
       loop ()
     end
   in
   loop ()
-
-let push w task =
-  Mutex.lock w.mutex;
-  Queue.push task w.tasks;
-  Condition.signal w.cond;
-  Mutex.unlock w.mutex
 
 let default_num_domains () =
   match Sys.getenv_opt "DTSCHED_DOMAINS" with
@@ -94,20 +80,19 @@ let create ?num_domains () =
   in
   let pool =
     {
-      workers =
-        Array.init n (fun _ ->
-            { mutex = Mutex.create (); cond = Condition.create (); tasks = Queue.create () });
+      mutex = Mutex.create ();
+      cond = Condition.create ();
+      tasks = Queue.create ();
       stopped = Atomic.make false;
       domains = [||];
       jobs = Atomic.make 0;
       fallbacks = Atomic.make 0;
     }
   in
-  pool.domains <-
-    Array.map (fun w -> Domain.spawn (fun () -> worker_loop pool w)) pool.workers;
+  pool.domains <- Array.init n (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
 
-let num_domains pool = Array.length pool.workers
+let num_domains pool = Array.length pool.domains
 
 let stats pool =
   { jobs = Atomic.get pool.jobs; fallbacks = Atomic.get pool.fallbacks; steals = 0 }
@@ -147,9 +132,12 @@ let fanout pool f a n =
     claim ();
     Domain.DLS.set in_pool_context previous
   in
-  for w = 0 to min (Array.length pool.workers) (n - 1) - 1 do
-    push pool.workers.(w) helper
+  Mutex.lock pool.mutex;
+  for _ = 1 to min (num_domains pool) (n - 1) do
+    Queue.push helper pool.tasks
   done;
+  Condition.broadcast pool.cond;
+  Mutex.unlock pool.mutex;
   helper ();
   (* the slots are read only once [finished] says every write is done *)
   Mutex.lock done_mutex;
@@ -174,23 +162,13 @@ let parallel_map pool f a =
   end
   else fanout pool f a n
 
-(* ------------------------ submission, shutdown ------------------------ *)
-
-let submit pool ~shard task =
-  check_running pool "submit";
-  if shard < 0 then
-    invalid_arg (Printf.sprintf "Pool.submit: shard must be >= 0 (got %d)" shard);
-  Atomic.incr pool.jobs;
-  push pool.workers.(shard mod Array.length pool.workers) task
+(* ------------------------------ shutdown ------------------------------ *)
 
 let shutdown pool =
   if not (Atomic.exchange pool.stopped true) then begin
-    Array.iter
-      (fun w ->
-        Mutex.lock w.mutex;
-        Condition.broadcast w.cond;
-        Mutex.unlock w.mutex)
-      pool.workers;
+    Mutex.lock pool.mutex;
+    Condition.broadcast pool.cond;
+    Mutex.unlock pool.mutex;
     Array.iter Domain.join pool.domains
   end
 

@@ -1,12 +1,8 @@
 (** A persistent pool of worker domains on OCaml 5.
 
-    Each worker domain owns one FIFO of tasks under a small private
-    lock. {!submit} appends to one worker's FIFO: the tasks of one shard
-    run one at a time, in submission order — the basis for the runtime
-    server's connection-to-shard affinity.
-
-    {!parallel_map} appends one helper to each of min(workers, n - 1)
-    FIFOs and runs the same helper on the calling domain; every helper
+    The worker domains share one FIFO of tasks under one lock.
+    {!parallel_map} appends min(workers, n - 1) copies of one helper to
+    it and runs the same helper on the calling domain; every helper
     claims the next index from the job's shared counter until none is
     left. So [d] workers and the caller compute on [d + 1] domains, and a
     job always completes even if every worker is busy — concurrent and
@@ -18,9 +14,7 @@ type t
 (** A pool of worker domains. Create once, reuse across many calls. *)
 
 type stats = {
-  jobs : int;
-      (** total work accepted: [parallel_map] calls plus pinned
-          {!submit} tasks *)
+  jobs : int;  (** total work accepted: [parallel_map] calls *)
   fallbacks : int;
       (** [parallel_map] calls that ran inline on the caller instead of
           fanning out because they were issued from inside pool work
@@ -34,7 +28,7 @@ type stats = {
 }
 
 val create : ?num_domains:int -> unit -> t
-(** [create ?num_domains ()] spawns the worker domains (one per shard).
+(** [create ?num_domains ()] spawns the worker domains.
 
     [num_domains] defaults to the [DTSCHED_DOMAINS] environment variable
     when set, otherwise to [Domain.recommended_domain_count () - 1]
@@ -44,7 +38,7 @@ val create : ?num_domains:int -> unit -> t
     [DTSCHED_DOMAINS] is set to anything but a positive integer. *)
 
 val num_domains : t -> int
-(** Number of shards (= worker domains) in the pool. *)
+(** Number of worker domains in the pool. *)
 
 val stats : t -> stats
 (** Monotone counters since {!create}. Cheap; safe from any domain. *)
@@ -63,21 +57,9 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
     @raise Invalid_argument if the pool is shut down. *)
 
-val submit : t -> shard:int -> (unit -> unit) -> unit
-(** [submit pool ~shard task] enqueues [task] on shard
-    [shard mod num_domains pool]. Pinned tasks on the same shard are
-    executed sequentially, in submission order, by that shard's single
-    worker domain — two tasks pinned to the same shard never run
-    concurrently, which lets per-shard state go lock-free. [task] must
-    not raise; exceptions escaping it are discarded.
-
-    @raise Invalid_argument if the pool is shut down or [shard < 0]. *)
-
 val shutdown : t -> unit
-(** Stops and joins the worker domains. Idempotent. Pinned tasks not yet
-    started are dropped (drain before shutdown if that matters). Any
-    {!parallel_map} or {!submit} after shutdown raises
-    [Invalid_argument]. *)
+(** Stops and joins the worker domains. Idempotent. Any
+    {!parallel_map} after shutdown raises [Invalid_argument]. *)
 
 val with_pool : ?num_domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and shuts it down on exit,

@@ -246,15 +246,3 @@ let fill_from t fd =
   c.wpos <- c.wpos + n;
   t.length <- t.length + n;
   n
-
-let transfer ~src dst =
-  if src.length > 0 then begin
-    (match dst.tail with
-    | None -> dst.head <- src.head
-    | Some tl -> tl.next <- src.head);
-    dst.tail <- src.tail;
-    dst.length <- dst.length + src.length;
-    src.head <- None;
-    src.tail <- None;
-    src.length <- 0
-  end

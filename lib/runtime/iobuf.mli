@@ -12,13 +12,9 @@
     The pending bytes can be viewed without consuming them
     ([peek_byte]/[peek_u32_be]/[index_char]) — enough for the binary
     frame decoder to find a frame boundary — and exposed as an iovec
-    array ([iovecs]) for [writev] scatter-gather output. [transfer]
-    splices one buffer's chunks onto another in O(chunks), which is how
-    a response batch encoded on a worker domain reaches the
-    connection's output queue without copying a byte.
+    array ([iovecs]) for [writev] scatter-gather output.
 
-    Not thread-safe: each buffer must be confined to one domain at a
-    time ([transfer] is the hand-off point). *)
+    Not thread-safe: a buffer must be used from one domain at a time. *)
 
 type t
 
@@ -96,8 +92,3 @@ val fill_from : t -> Unix.file_descr -> int
     ingest path. Returns the byte count ([0] = EOF) and re-raises the
     [Unix.Unix_error]s of [Unix.read] ([EAGAIN] included) — the caller
     owns the non-blocking protocol. *)
-
-val transfer : src:t -> t -> unit
-(** Move every pending byte of [src] to the end of the destination by
-    splicing the chunk list — O(number of chunks), no byte copies.
-    [src] is empty afterwards. *)

@@ -114,7 +114,9 @@ type 'a frame =
   | Frame_error of string  (** structural: close the connection *)
 
 val extract_frame : string -> pos:int -> string frame
-(** Pull one frame's payload out of a reassembly buffer at [pos]. *)
+(** Pull one frame's payload out of a reassembly buffer at [pos]. The
+    server decodes with {!frame_of_buf}; this string form is the
+    reference the tests compare it against. *)
 
 val frame_of_buf : Iobuf.t -> string frame
 (** Pull one frame out of a chunked reassembly buffer: the length
@@ -138,7 +140,9 @@ val decode_requests : string -> ((request, string) result list, string) result
     (answer [ERR parse], keep going). *)
 
 val encode_response_frame : string list -> string
-(** One frame holding one request's response lines, header included. *)
+(** One frame holding one request's response lines, header included.
+    The server encodes with {!encode_response_frame_into}; this string
+    form is the reference the tests compare it against. *)
 
 val encode_response_frame_into : Iobuf.t -> string list -> unit
 (** Byte-identical output to {!encode_response_frame}, appended

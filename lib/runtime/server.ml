@@ -27,8 +27,8 @@ let create ?(host = "127.0.0.1") ~port () =
 
 let port t = t.port
 
-(* The server itself holds a handful of fds (listener, wake pipe,
-   stdio, scratch for accepts in flight) besides the connections; a
+(* The server itself holds a handful of fds (listener, poller, stdio,
+   scratch for accepts in flight) besides the connections; a
    select-backed run must keep every fd *number* under FD_SETSIZE, so
    its connection ceiling leaves headroom for those. *)
 let select_conn_limit = Poller.select_fd_limit - 16
@@ -51,8 +51,6 @@ type item =
 type conn = {
   fd : Unix.file_descr;
   session : Session.t;
-  shard : int;            (* fixed at accept: the pool shard that runs
-                             every batch of this connection's requests *)
   rbuf : Iobuf.t;         (* received bytes not yet forming a full
                              line/frame; the socket reads land directly
                              in its chunks (Iobuf.fill_from) *)
@@ -64,7 +62,6 @@ type conn = {
                              re-scanned from offset 0 *)
   mutable mode : mode;    (* framing of the *incoming* byte stream *)
   inbox : (mode * item) Queue.t; (* parsed requests awaiting dispatch *)
-  mutable busy : bool;    (* a batch is in flight on the shard *)
   outq : Iobuf.t;         (* pending response chunks; writev drains the
                              whole list per syscall, advancing by the
                              written count resumes mid-chunk *)
@@ -86,24 +83,17 @@ let max_line_bytes = 65536
    useful time frame. *)
 let default_max_output_bytes = 4 * 1024 * 1024
 
-(* A shard stuck on a long batch must not let a pipelining client grow
-   the inbox without bound: past this many parsed-but-undispatched
-   requests the server stops reading until the batch returns. *)
-let inbox_pause_items = 4096
-
-let make_conn ?info ~shard fd =
+let make_conn ~info fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   {
     fd;
-    session = Session.create ?info ();
-    shard;
+    session = Session.create ~info ();
     rbuf = Iobuf.create ();
     rneed = 0;
     rscan = 0;
     mode = Text;
     inbox = Queue.create ();
-    busy = false;
     outq = Iobuf.create ~chunk_size:4096 ();
     last_activity = Unix.gettimeofday ();
     closing = false;
@@ -213,31 +203,24 @@ let parse_input c =
 (* Run one connection's batch of parsed items through its session,
    encoding each item's responses in its own mode — the text protocol
    appends one '\n'-terminated line each, binary wraps each request's
-   responses in exactly one frame. With a pool this executes as a
-   pinned task on the connection's shard: one batch at a time per
-   connection (the [busy] flag), batches in arrival order, so the
-   session needs no lock even though it runs on a worker domain.
-   Session handlers never raise by contract; the handler here is the
-   last line of defense so that an escaped exception tears down one
-   connection, never the event loop. *)
+   responses in exactly one frame. Items after a QUIT or SHUTDOWN are
+   never answered. Session handlers never raise by contract; the
+   handler here is the last line of defense so that an escaped
+   exception tears down one connection, never the event loop. *)
 let process_items_into session buf items =
   let rec go control = function
     | [] -> control
     | _ :: _ when control <> Session.Continue -> control
     | (mode, item) :: rest ->
         let binary = match mode with Binary -> true | Text -> false in
-        let next =
+        let responses, next =
           match item with
-          | Line line -> Session.handle_line_into session buf ~binary line
-          | Req (Ok request) ->
-              Session.handle_request_into session buf ~binary request
-          | Req (Error msg) ->
-              Session.emit_into buf ~binary [ Protocol.err ~code:"parse" msg ];
-              Session.Continue
-          | Fatal msg ->
-              Session.emit_into buf ~binary [ Protocol.err ~code:"parse" msg ];
-              Session.Close_session
+          | Line line -> Session.handle_line session line
+          | Req (Ok request) -> Session.handle_request session request
+          | Req (Error msg) -> ([ Protocol.err ~code:"parse" msg ], Session.Continue)
+          | Fatal msg -> ([ Protocol.err ~code:"parse" msg ], Session.Close_session)
         in
+        Session.emit_into buf ~binary responses;
         go next rest
   in
   match go Session.Continue items with
@@ -276,7 +259,7 @@ let drain_deadline_s = 2.0
    only sets a flag; an undelayed wait would sleep through it). *)
 let max_wait_s = 0.5
 
-let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
+let run ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     ?(idle_timeout = 0.0) ?on_listen t =
   let max_output_bytes =
     match max_output_bytes with None -> default_max_output_bytes | Some b -> b
@@ -305,13 +288,23 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
   let num_conns = ref 0 in
   let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  (* Out of fds (EMFILE/ENFILE), a pending connection stays in the
+     backlog and keeps the listener readable: the level-triggered
+     poller would report it again at once, forever. So the listener's
+     read interest is dropped until a connection closes and frees an
+     fd. *)
+  let accept_paused = ref false in
   let drop c =
     if not c.dead then begin
       c.dead <- true;
       Hashtbl.remove conns c.fd;
       decr num_conns;
       Poller.remove poller c.fd;
-      close_fd c.fd
+      close_fd c.fd;
+      if !accept_paused then begin
+        accept_paused := false;
+        Poller.modify poller t.listen_fd ~read:true ~write:false
+      end
     end
   in
   (* Interest follows connection state: read while the peer may send
@@ -322,126 +315,38 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     if not c.dead then
       let pending = output_pending c in
       Poller.modify poller c.fd
-        ~read:
-          ((not c.closing)
-          && pending < read_pause_bytes
-          && Queue.length c.inbox < inbox_pause_items)
+        ~read:((not c.closing) && pending < read_pause_bytes)
         ~write:(pending > 0)
   in
-  (* -------- shard dispatch machinery (engaged when [pool] is set) ----
-     Each connection's batches run as pinned tasks on its shard; the
-     event loop never blocks on them. Finished batches come back through
-     [completions] (guarded by [comp_mutex]); the self-pipe wakes the
-     poller so a response is flushed as soon as its batch ends, not at
-     the next timeout tick. *)
-  let num_shards =
-    match pool with Some p -> Dt_par.Pool.num_domains p | None -> 1
-  in
-  let next_shard = ref 0 in
-  let comp_mutex = Mutex.create () in
-  let completions = ref ([] : (conn * (Iobuf.t * Session.control)) list) in
-  let in_flight = Atomic.make 0 in
   (* Allocation budget instrumentation: minor-heap words allocated
-     while running request batches, per request, across every domain
-     that ran one (Gc.minor_words is per-domain in OCaml 5, so the
-     delta is sampled on whichever domain executed the batch and folded
-     into these process-wide counters). STATS reports the running
-     average as [minor_words_per_req]. *)
-  let alloc_words = Atomic.make 0.0 in
-  let alloc_reqs = Atomic.make 0 in
-  let record_alloc dw n =
-    let rec add () =
-      let cur = Atomic.get alloc_words in
-      if not (Atomic.compare_and_set alloc_words cur (cur +. dw)) then add ()
-    in
-    if dw > 0.0 then add ();
-    ignore (Atomic.fetch_and_add alloc_reqs n)
-  in
-  let run_batch session buf items =
-    let w0 = Gc.minor_words () in
-    let control = process_items_into session buf items in
-    record_alloc (Gc.minor_words () -. w0) (List.length items);
-    control
-  in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let wake () =
-    (* a full pipe already guarantees a pending wakeup; a closed one
-       means the loop is past caring *)
-    try ignore (Unix.write_substring wake_w "!" 0 1)
-    with Unix.Unix_error _ -> ()
-  in
-  let drain_wake () =
-    let buf = Bytes.create 64 in
-    let rec go () =
-      match Unix.read wake_r buf 0 (Bytes.length buf) with
-      | 0 -> ()
-      | _ -> go ()
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
-  let conn_info shard () =
+     while running request batches, per request. STATS reports the
+     running average as [minor_words_per_req]. *)
+  let alloc_words = ref 0.0 and alloc_reqs = ref 0 in
+  let conn_info () =
     let backend = "backend=" ^ Poller.backend_name poller in
-    let alloc =
-      let reqs = Atomic.get alloc_reqs in
-      if reqs = 0 then ""
-      else
-        Printf.sprintf " minor_words_per_req=%.0f"
-          (Atomic.get alloc_words /. Float.of_int reqs)
-    in
-    match pool with
-    | None -> backend ^ alloc
-    | Some p ->
-        let s = Dt_par.Pool.stats p in
-        Printf.sprintf "shard=%d %s pool_jobs=%d pool_fallbacks=%d%s" shard
-          backend s.Dt_par.Pool.jobs s.Dt_par.Pool.fallbacks alloc
+    if !alloc_reqs = 0 then backend
+    else
+      Printf.sprintf "%s minor_words_per_req=%.0f" backend
+        (!alloc_words /. Float.of_int !alloc_reqs)
   in
-  (* Hand a connection's queued items to its shard, unless a batch is
-     already in flight there (per-connection order) or inline when the
-     server runs without a pool. One dispatch covers everything queued —
-     a frame of pipelined SUBMITs becomes a single engine pass. *)
-  let rec dispatch c =
-    if (not c.busy) && (not c.closing) && not (Queue.is_empty c.inbox) then begin
+  (* Run everything queued on a connection as one batch — a frame of
+     pipelined SUBMITs becomes a single engine pass — with the
+     responses encoded straight into its output queue. *)
+  let dispatch c =
+    if (not c.closing) && not (Queue.is_empty c.inbox) then begin
       let items = List.of_seq (Queue.to_seq c.inbox) in
       Queue.clear c.inbox;
-      match pool with
-      | None ->
-          (* no pool: the loop owns the connection outright, so the
-             responses are encoded straight into its output queue *)
-          apply_control c (run_batch c.session c.outq items)
-      | Some p ->
-          c.busy <- true;
-          Atomic.incr in_flight;
-          Dt_par.Pool.submit p ~shard:c.shard (fun () ->
-              (* the batch buffer is private to this worker until the
-                 completion hand-off; the event loop then splices its
-                 chunks onto the connection's outq (Iobuf.transfer) —
-                 no copy, and never two domains in one buffer *)
-              let buf = Iobuf.create ~chunk_size:1024 () in
-              let control = run_batch c.session buf items in
-              Mutex.lock comp_mutex;
-              completions := (c, (buf, control)) :: !completions;
-              Mutex.unlock comp_mutex;
-              wake ();
-              (* last action: after this decrement the task provably
-                 holds no reference to the wake pipe *)
-              Atomic.decr in_flight)
+      let w0 = Gc.minor_words () in
+      let control = process_items_into c.session c.outq items in
+      alloc_words := !alloc_words +. (Gc.minor_words () -. w0);
+      alloc_reqs := !alloc_reqs + List.length items;
+      match control with
+      | Session.Continue -> ()
+      | Session.Close_session -> c.closing <- true
+      | Session.Stop_server ->
+          c.closing <- true;
+          Atomic.set t.stop true
     end
-  and apply c (buf, control) =
-    Iobuf.transfer ~src:buf c.outq;
-    apply_control c control
-  and apply_control c control =
-    match control with
-    | Session.Continue -> ()
-    | Session.Close_session -> c.closing <- true
-    | Session.Stop_server ->
-        c.closing <- true;
-        Atomic.set t.stop true
   in
   (* Flush what the socket accepts, enforce the output bound, reap
      drained closing connections, and re-register interest — the single
@@ -452,27 +357,8 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
       else if output_pending c > max_output_bytes then
         (* the peer is not reading: the output is undeliverable *)
         drop c
-      else if c.closing && (not c.busy) && not (has_output c) then drop c
+      else if c.closing && not (has_output c) then drop c
       else update_interest c
-  in
-  let apply_completions touched =
-    let ready =
-      Mutex.lock comp_mutex;
-      let l = !completions in
-      completions := [];
-      Mutex.unlock comp_mutex;
-      List.rev l
-    in
-    List.iter
-      (fun (c, result) ->
-        c.busy <- false;
-        if not c.dead then begin
-          apply c result;
-          (* items may have queued up while the batch was in flight *)
-          dispatch c;
-          touched := c :: !touched
-        end)
-      ready
   in
   (* EOF, a read/write error, or data arriving: returns [true] when the
      connection is still alive afterwards. The socket reads land
@@ -517,6 +403,9 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
         ->
           ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          accept_paused := true;
+          Poller.modify poller t.listen_fd ~read:false ~write:false
       | exception Unix.Unix_error _ -> ()
       | fd, _ ->
           if !num_conns >= max_conns then begin
@@ -526,11 +415,7 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
             close_fd fd
           end
           else begin
-            (* round-robin connection-to-shard affinity: fixed for the
-               connection's whole lifetime *)
-            let shard = !next_shard in
-            next_shard := (shard + 1) mod num_shards;
-            let c = make_conn ~info:(conn_info shard) ~shard fd in
+            let c = make_conn ~info:conn_info fd in
             Hashtbl.replace conns fd c;
             incr num_conns;
             Poller.add poller fd ~read:true ~write:false;
@@ -550,7 +435,7 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
       let nearest =
         Hashtbl.fold
           (fun _ c acc ->
-            if c.closing || c.busy then acc
+            if c.closing then acc
             else Float.min acc (c.last_activity +. idle_timeout))
           conns infinity
       in
@@ -560,44 +445,26 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     end
   in
   Poller.add poller t.listen_fd ~read:true ~write:false;
-  Poller.add poller wake_r ~read:true ~write:false;
   Fun.protect
     ~finally:(fun () ->
       restore ();
       Poller.close poller;
       close_fd t.listen_fd;
       List.iter (fun c -> close_fd c.fd) (all_conns ());
-      Hashtbl.reset conns;
-      (* Only reclaim the self-pipe once no task can touch it again: a
-         batch stuck past the drain deadline still holds [wake_w], and
-         closing would let the fd number be reused under it. Leaking two
-         fds in that pathological case is the safe trade. *)
-      if Atomic.get in_flight = 0 then begin
-        close_fd wake_r;
-        close_fd wake_w
-      end)
+      Hashtbl.reset conns)
     (fun () ->
       while not (Atomic.get t.stop) do
         let events = Poller.wait poller ~timeout:(compute_timeout ()) in
         let touched = ref [] in
         let accept_ready = ref false in
-        (* 1. collect batches finished on the shards since last round
-           (the wake pipe made the poller return immediately for them) *)
-        List.iter
-          (fun (fd, readable, _) ->
-            if readable && fd = wake_r then drain_wake ())
-          events;
-        apply_completions touched;
-        (* 2. read from every ready connection (EOF drops it, pending
+        (* 1. read from every ready connection (EOF drops it, pending
            output and all: the peer is gone), parse complete requests
-           and dispatch each connection's batch to its shard — one
-           pinned batch per connection per wakeup (inline without a
-           pool): always in order within a connection, and a slow batch
-           only ever delays its own shard, never the loop *)
+           and run each connection's batch — one batch per connection
+           per wakeup, in order within a connection *)
         List.iter
           (fun (fd, readable, writable) ->
             if fd = t.listen_fd then (if readable then accept_ready := true)
-            else if fd <> wake_r then
+            else
               match Hashtbl.find_opt conns fd with
               | None -> ()
               | Some c ->
@@ -605,18 +472,15 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
                     drop c
                   else if readable || writable then touched := c :: !touched)
           events;
-        (* 3. accept after reads, so slots freed by disconnections in
+        (* 2. accept after reads, so slots freed by disconnections in
            this very round are visible to the max_conns check *)
         if !accept_ready then accept_all touched;
-        (* 4. idle-connection timeout (a connection with a batch in
-           flight is working, not idle) *)
+        (* 3. idle-connection timeout *)
         if idle_timeout > 0.0 then begin
           let now = Unix.gettimeofday () in
           Hashtbl.iter
             (fun _ c ->
-              if
-                (not c.closing) && (not c.busy)
-                && now -. c.last_activity >= idle_timeout
+              if (not c.closing) && now -. c.last_activity >= idle_timeout
               then begin
                 add_output c
                   (Protocol.err ~code:"timeout"
@@ -628,15 +492,15 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
               end)
             conns
         end;
-        (* 5. flush, enforce the output bound, reap, re-register
+        (* 4. flush, enforce the output bound, reap, re-register
            interest — only for the connections this round touched *)
         List.iter finalize !touched
       done;
-      (* graceful drain: stop accepting, wait (bounded) for in-flight
-         batches, deliver every queued response (the SHUTDOWN
-         acknowledgement in particular), then close all remaining
-         connections — so one stuck reader or one slow batch cannot hold
-         the shutdown hostage *)
+      (* graceful drain: stop accepting, deliver every queued response
+         (the SHUTDOWN acknowledgement in particular) within a bounded
+         window, then close all remaining connections — so one stuck
+         reader cannot hold the shutdown hostage *)
+      accept_paused := false (* [drop] must not re-arm the listener *);
       Poller.remove poller t.listen_fd;
       close_fd t.listen_fd;
       List.iter
@@ -646,12 +510,9 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
         (all_conns ());
       let deadline = Unix.gettimeofday () +. drain_deadline_s in
       let rec drain () =
-        drain_wake ();
-        apply_completions (ref []);
         List.iter
           (fun c ->
-            if not (flush_output c) then drop c
-            else if (not c.busy) && not (has_output c) then drop c
+            if (not (flush_output c)) || not (has_output c) then drop c
             else update_interest c)
           (all_conns ());
         if !num_conns > 0 && Unix.gettimeofday () < deadline then begin

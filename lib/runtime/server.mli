@@ -4,34 +4,31 @@
     per connection.
 
     Concurrency model: a single multiplexed, non-blocking event loop
-    plus — when a {!Dt_par.Pool} is given — one engine shard per pool
-    domain. Every live connection is registered with one {!Poller}
-    (epoll on Linux, [Unix.select] elsewhere) with a per-connection
-    read buffer (partial lines and partial binary frames are
-    reassembled, so a client trickling one request byte by byte never
-    stalls the others) and a per-connection write buffer (partial
+    on one domain. Every live connection is registered with one
+    {!Poller} (epoll on Linux, [Unix.select] elsewhere) with a
+    per-connection read buffer (partial lines and partial binary frames
+    are reassembled, so a client trickling one request byte by byte
+    never stalls the others) and a per-connection write buffer (partial
     writes are resumed when the socket drains; write interest is only
     registered while output is pending). A poller wakeup touches only
     the connections with events — an idle population costs no per-
     wakeup work — and its timeout is derived from the nearest idle
-    deadline rather than a fixed tick. Each accepted connection is
-    pinned round-robin to a shard for its whole lifetime; its complete
-    requests are handed to that shard as pinned batches (one in flight
-    per connection, batches in arrival order — a binary frame of
-    pipelined [SUBMIT]s becomes a single engine pass) and the loop
-    moves on — a self-pipe wakes the poller the moment a batch
-    finishes, so its responses are flushed immediately. Because a
-    shard executes its pinned tasks one at a time, a session is only
-    ever touched by its shard's worker, with no locking, and a slow
-    request delays only the connections of its own shard — other
-    shards, and the event loop, keep going (no cross-shard
-    head-of-line blocking). An idle or slow connection costs one fd
-    and nothing else: no domain is parked on it. [STATS] responses
-    carry the poller backend and, with a pool, the connection's shard
-    and the pool's job/fallback counters. Without a pool,
-    batches are processed inline on the loop — the single-shard
-    collapse; concurrency across connections still holds because no
-    connection ever blocks the loop's reads.
+    deadline rather than a fixed tick. The complete requests one read
+    delivers are run as one batch on the loop, in arrival order — a
+    binary frame of pipelined [SUBMIT]s becomes a single engine pass —
+    and their responses are encoded straight into the connection's
+    write buffer. Requests pipelined after a [QUIT] or [SHUTDOWN] are
+    never answered. A request costs microseconds of engine work, so
+    handing batches to other domains would cost more than it moves; a
+    request that computes for long delays every connection. An idle or
+    slow connection costs one fd and nothing else. [STATS] responses
+    carry the poller backend and the loop's minor-heap words allocated
+    per request so far.
+
+    Out of fds ([EMFILE]/[ENFILE]), the loop stops polling the listener
+    until a connection closes, instead of waking for the same pending
+    connection at once, forever; backlogged connections are accepted
+    then.
 
     Fault containment: SIGPIPE is ignored, so a peer that disconnects
     mid-response surfaces as a write error that closes that one
@@ -74,7 +71,6 @@ val select_conn_limit : int
     to be usable at all. The epoll backend has no such ceiling. *)
 
 val run :
-  ?pool:Dt_par.Pool.t ->
   ?backend:Poller.kind ->
   ?max_conns:int ->
   ?max_output_bytes:int ->
@@ -92,14 +88,10 @@ val run :
     (default 4 MiB, must be positive) bounds one connection's pending
     output — reads pause at half the bound, the connection is dropped
     at the full bound; [idle_timeout] (seconds; default [0.] =
-    disabled, must be non-negative) reaps silent connections — a
-    connection whose batch is in flight on its shard counts as active,
-    not idle. [on_listen] is called once with the bound port just
-    before the first accept (the CLI prints/writes the port there, so
-    scripts can synchronise). With a [pool], connections are sharded
-    across its domains as described above; the pool is borrowed, not
-    owned — the caller shuts it down after [run] returns. Without a
-    [pool], ready batches are processed sequentially on the loop. *)
+    disabled, must be non-negative) reaps silent connections.
+    [on_listen] is called once with the bound port just before the
+    first accept (the CLI prints/writes the port there, so scripts can
+    synchronise). *)
 
 val serve_stdio : unit -> unit
 (** Serve exactly one session over stdin/stdout (requests in, responses

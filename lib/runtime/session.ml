@@ -121,8 +121,8 @@ let handle_request t request =
   | Invalid_argument msg -> ([ Protocol.err ~code:"state" msg ], Continue)
   | e ->
       (* any other exception out of engine/sim code: answer instead of
-         letting it escape through the server (or a pool domain) and
-         kill the whole service *)
+         letting it escape through the server and kill the whole
+         service *)
       ([ Protocol.err ~code:"internal" (Printexc.to_string e) ], Continue)
 
 let handle_line t line =
@@ -130,12 +130,8 @@ let handle_line t line =
   | Error msg -> ([ Protocol.err ~code:"parse" msg ], Continue)
   | Ok request -> handle_request t request
 
-(* Buffer-threading variants: the TCP server hands its connection (or
-   batch) output buffer through instead of materialising a response
-   string per request. Text responses append '\n'-terminated lines,
-   binary wraps one request's lines in exactly one frame — byte for
-   byte what the string path would have produced. *)
-
+(* Append one request's responses to a connection's output buffer: one
+   '\n'-terminated line each in text mode, one frame in binary mode. *)
 let emit_into buf ~binary responses =
   if binary then Protocol.encode_response_frame_into buf responses
   else
@@ -144,13 +140,3 @@ let emit_into buf ~binary responses =
         Iobuf.add_string buf line;
         Iobuf.add_char buf '\n')
       responses
-
-let handle_request_into t buf ~binary request =
-  let responses, control = handle_request t request in
-  emit_into buf ~binary responses;
-  control
-
-let handle_line_into t buf ~binary line =
-  let responses, control = handle_line t line in
-  emit_into buf ~binary responses;
-  control

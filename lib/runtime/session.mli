@@ -12,9 +12,9 @@ val create : ?info:(unit -> string) -> unit -> t
 
     [info] (default: returns [""]) supplies host-side [key=value] fields
     that are appended, space-separated, to every [STATS] response — the
-    TCP server reports the connection's shard and the pool's job /
-    fallback counters through it. An empty result appends
-    nothing; an exception from [info] is treated as empty. *)
+    TCP server reports its poller backend and minor words per request
+    through it. An empty result appends nothing; an exception from
+    [info] is treated as empty. *)
 
 val engine : t -> Engine.t option
 (** The engine created by [INIT], if any (exposed for tests/benches). *)
@@ -44,18 +44,9 @@ val emit_into : Iobuf.t -> binary:bool -> string list -> unit
 (** Append one request's response lines to an output buffer in the
     given framing: text appends each line ['\n']-terminated, binary
     wraps the list in exactly one frame
-    ({!Protocol.encode_response_frame_into}) — byte-identical to what
-    the string-returning handlers would have sent. *)
-
-val handle_request_into : t -> Iobuf.t -> binary:bool -> Protocol.request -> control
-(** {!handle_request} with the response appended to the buffer via
-    {!emit_into} instead of returned — the TCP server's zero-copy path:
-    response bytes are written once, into the connection's (or batch's)
-    output chunks, never into a per-request string. Same never-raises
-    contract. *)
-
-val handle_line_into : t -> Iobuf.t -> binary:bool -> string -> control
-(** {!handle_line}, buffer-threaded like {!handle_request_into}. *)
+    ({!Protocol.encode_response_frame_into}). The TCP server calls it
+    after {!handle_line} or {!handle_request}, so response bytes are
+    written once, into the connection's output chunks. *)
 
 val fault_hook : (Protocol.request -> unit) ref
 (** Test-only fault injection: called with every parsed request just

@@ -99,23 +99,6 @@ let iovecs_max () =
   in
   check_int "capped iovecs expose whole chunks" 48 visible
 
-let transfer_splices () =
-  let src = Iobuf.create ~chunk_size:16 () in
-  let dst = Iobuf.create ~chunk_size:16 () in
-  Iobuf.add_string dst "head|";
-  Iobuf.add_string src (String.make 50 'z');
-  Iobuf.transfer ~src dst;
-  Alcotest.(check bool) "src emptied" true (Iobuf.is_empty src);
-  check_str "dst = dst ^ src" ("head|" ^ String.make 50 'z')
-    (Iobuf.contents dst);
-  (* the emptied source keeps working *)
-  Iobuf.add_string src "more";
-  check_str "src reusable after transfer" "more" (Iobuf.contents src);
-  (* transferring an empty buffer is a no-op *)
-  let empty = Iobuf.create () in
-  Iobuf.transfer ~src:empty dst;
-  check_int "empty transfer changes nothing" 55 (Iobuf.length dst)
-
 let fill_from_pipe () =
   let r, w = Unix.pipe () in
   Fun.protect
@@ -151,7 +134,6 @@ type op =
   | Add_u32 of int
   | Advance of int (* permille of pending length *)
   | Read of int (* permille *)
-  | Transfer_in of string
   | Clear
 
 let op_gen =
@@ -166,7 +148,6 @@ let op_gen =
         (2, map (fun v -> Add_u32 v) (int_bound 0xffffffff));
         (3, map (fun p -> Advance p) (int_bound 1000));
         (3, map (fun p -> Read p) (int_bound 1000));
-        (1, map (fun s -> Transfer_in s) small_string);
         (1, return Clear);
       ])
 
@@ -179,7 +160,6 @@ let ops_print ops =
          | Add_u32 v -> Printf.sprintf "Add_u32 %#x" v
          | Advance p -> Printf.sprintf "Advance %d‰" p
          | Read p -> Printf.sprintf "Read %d‰" p
-         | Transfer_in s -> Printf.sprintf "Transfer_in %S" s
          | Clear -> "Clear")
        ops)
 
@@ -225,12 +205,6 @@ let prop_model =
                    String.sub !expected n (String.length !expected - n);
                  if got <> want then
                    fail "read_string %d: got %S, want %S" n got want
-             | Transfer_in s ->
-                 let src = Iobuf.create ~chunk_size:16 () in
-                 Iobuf.add_string src s;
-                 Iobuf.transfer ~src buf;
-                 if not (Iobuf.is_empty src) then fail "transfer left src non-empty";
-                 expected := !expected ^ s
              | Clear ->
                  Iobuf.clear buf;
                  expected := "");
@@ -281,7 +255,6 @@ let suite =
     Alcotest.test_case "index_char across chunks and cursors" `Quick
       index_char_across_chunks;
     Alcotest.test_case "iovecs honour max" `Quick iovecs_max;
-    Alcotest.test_case "transfer splices chunk lists" `Quick transfer_splices;
     Alcotest.test_case "fill_from reads a pipe into the tail" `Quick
       fill_from_pipe;
     prop_model;

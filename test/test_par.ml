@@ -155,40 +155,46 @@ let stats_expose_fallbacks () =
       Alcotest.(check bool) "steal counter is non-negative" true
         (s.Dt_par.Pool.steals >= 0))
 
-(* Caller-help: with every worker blocked behind a pinned task, the
-   calling domain must claim every index itself. The blockers wait on a
-   latch with a deadline, so a caller that waits for its helpers fails
-   the test instead of hanging it. Once released, the workers run the
-   first job's stale helpers, which must find no index left. *)
+(* Caller-help: with every worker blocked inside another caller's job,
+   the calling domain must claim every index itself. A spawned domain
+   maps d + 1 elements that wait on a latch: its own helper and the d
+   workers each hold one. Every wait has a deadline, so a caller that
+   waits for its helpers fails the test instead of hanging it. Once
+   released, the workers run the second job's stale helpers, which must
+   find no index left. *)
 let caller_helps_when_workers_are_blocked () =
   Dt_par.Pool.with_pool ~num_domains:2 (fun p ->
       let d = Dt_par.Pool.num_domains p in
-      let release = Atomic.make false and timed_out = Atomic.make 0 in
+      let entered = Atomic.make 0 and release = Atomic.make false in
+      let timed_out = Atomic.make 0 in
       let deadline = Unix.gettimeofday () +. 5.0 in
-      for shard = 0 to d - 1 do
-        Dt_par.Pool.submit p ~shard (fun () ->
-            while (not (Atomic.get release)) && Unix.gettimeofday () < deadline do
-              Unix.sleepf 0.001
-            done;
-            if not (Atomic.get release) then Atomic.incr timed_out)
-      done;
+      let await cond =
+        while (not (cond ())) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        cond ()
+      in
+      let blocker x =
+        Atomic.incr entered;
+        if not (await (fun () -> Atomic.get release)) then Atomic.incr timed_out;
+        x
+      in
+      let blocked = Array.init (d + 1) Fun.id in
+      let other =
+        Domain.spawn (fun () -> Dt_par.Pool.parallel_map p blocker blocked)
+      in
+      let all_entered = await (fun () -> Atomic.get entered = d + 1) in
       let a = Array.init 200 (fun i -> i) in
       let f x = (x * 7) + (x mod 5) in
-      Alcotest.(check (array int))
-        "map with every worker blocked" (Array.map f a)
-        (Dt_par.Pool.parallel_map p f a);
-      Alcotest.(check int) "no blocker reached its deadline" 0 (Atomic.get timed_out);
+      let got = if all_entered then Dt_par.Pool.parallel_map p f a else [||] in
       Atomic.set release true;
-      (* a marker behind each shard's stale helper: once every marker has
-         run, so has every helper of the first job *)
-      let markers = Atomic.make 0 in
-      for shard = 0 to d - 1 do
-        Dt_par.Pool.submit p ~shard (fun () -> Atomic.incr markers)
-      done;
-      while Atomic.get markers < d && Unix.gettimeofday () < deadline +. 5.0 do
-        Unix.sleepf 0.001
-      done;
-      Alcotest.(check int) "stale helpers and markers ran" d (Atomic.get markers);
+      let other_result = Domain.join other in
+      Alcotest.(check bool)
+        "every worker and the other caller hold a blocking element" true
+        all_entered;
+      Alcotest.(check (array int)) "map with every worker blocked" (Array.map f a) got;
+      Alcotest.(check int) "no blocker reached its deadline" 0 (Atomic.get timed_out);
+      Alcotest.(check (array int)) "the blocking job completes" blocked other_result;
       let g x = (x * 3) - 1 in
       Alcotest.(check (array int))
         "map after the stale helpers ran" (Array.map g a)
@@ -213,37 +219,6 @@ let concurrent_callers () =
         true (Domain.join d))
     callers
 
-(* Pinned submissions execute on their shard in submission order. *)
-let submit_is_ordered_per_shard () =
-  Dt_par.Pool.with_pool ~num_domains:2 (fun p ->
-      let log = Array.make 2 [] in
-      let mutex = Mutex.create () in
-      let remaining = Atomic.make 20 in
-      for i = 0 to 19 do
-        let shard = i mod 2 in
-        Dt_par.Pool.submit p ~shard (fun () ->
-            Mutex.lock mutex;
-            log.(shard) <- i :: log.(shard);
-            Mutex.unlock mutex;
-            Atomic.decr remaining)
-      done;
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      while Atomic.get remaining > 0 && Unix.gettimeofday () < deadline do
-        Domain.cpu_relax ()
-      done;
-      Alcotest.(check int) "all pinned tasks ran" 0 (Atomic.get remaining);
-      Mutex.lock mutex;
-      let seen = Array.map List.rev log in
-      Mutex.unlock mutex;
-      Alcotest.(check (list int))
-        "shard 0 in submission order"
-        [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
-        seen.(0);
-      Alcotest.(check (list int))
-        "shard 1 in submission order"
-        [ 1; 3; 5; 7; 9; 11; 13; 15; 17; 19 ]
-        seen.(1))
-
 let create_rejects_bad_sizes () =
   List.iter
     (fun n ->
@@ -253,6 +228,21 @@ let create_rejects_bad_sizes () =
            (Printf.sprintf "Pool.create: num_domains must be positive (got %d)" n))
         (fun () -> ignore (Dt_par.Pool.create ~num_domains:n ())))
     [ 0; -1; -8 ]
+
+(* DTSCHED_DOMAINS sizes the default pool. *)
+let env_sizes_default_pool () =
+  let previous = Sys.getenv_opt "DTSCHED_DOMAINS" in
+  Unix.putenv "DTSCHED_DOMAINS" "1";
+  Fun.protect
+    ~finally:(fun () ->
+      (* Unix has no unsetenv: an unset variable stays "1", which keeps
+         any later default-sized pool valid *)
+      Unix.putenv "DTSCHED_DOMAINS" (Option.value previous ~default:"1"))
+    (fun () ->
+      Alcotest.(check int) "DTSCHED_DOMAINS=1 sizes the default pool to one worker"
+        1 (Dt_par.Pool.default_num_domains ());
+      Dt_par.Pool.with_pool (fun pool ->
+          Alcotest.(check int) "one worker" 1 (Dt_par.Pool.num_domains pool)))
 
 let suite =
   [
@@ -265,7 +255,8 @@ let suite =
     Alcotest.test_case "caller computes while every worker is blocked" `Quick
       caller_helps_when_workers_are_blocked;
     Alcotest.test_case "concurrent callers all complete" `Quick concurrent_callers;
-    Alcotest.test_case "pinned submit is FIFO per shard" `Quick submit_is_ordered_per_shard;
+    Alcotest.test_case "DTSCHED_DOMAINS=1 sizes default pool" `Quick
+      env_sizes_default_pool;
     prop_parallel_map_is_map;
     Alcotest.test_case "fleet: pool = sequential, bit for bit" `Quick
       fleet_parallel_is_sequential;

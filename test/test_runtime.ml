@@ -311,12 +311,12 @@ let tcp_end_to_end () =
    down whatever happened. The shutdown handshake retries: right after a
    test closes a connection the server may not have reaped it yet, so a
    max_conns-limited server can answer the first attempt ERR busy. *)
-let with_server ?pool ?backend ?max_conns ?max_output_bytes ?idle_timeout f =
+let with_server ?backend ?max_conns ?max_output_bytes ?idle_timeout f =
   let server = Dt_runtime.Server.create ~port:0 () in
   let port = Dt_runtime.Server.port server in
   let domain =
     Domain.spawn (fun () ->
-        Dt_runtime.Server.run ?pool ?backend ?max_conns ?max_output_bytes
+        Dt_runtime.Server.run ?backend ?max_conns ?max_output_bytes
           ?idle_timeout server)
   in
   let finish () =
@@ -394,14 +394,13 @@ let round_trip port =
       ignore (Dt_runtime.Client.request conn Protocol.Quit))
 
 let head_of_line_blocking () =
-  (* the regression of this PR: with a 1-domain pool, an idle open
-     connection must not delay a second client's full round trip *)
-  Dt_par.Pool.with_pool ~num_domains:1 (fun pool ->
-      with_server ~pool (fun port ->
-          let idle = Dt_runtime.Client.connect ~port () in
-          Fun.protect
-            ~finally:(fun () -> Dt_runtime.Client.close idle)
-            (fun () -> round_trip port)))
+  (* the server runs on one domain: an idle open connection must not
+     delay a second client's full round trip *)
+  with_server (fun port ->
+      let idle = Dt_runtime.Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Dt_runtime.Client.close idle)
+        (fun () -> round_trip port))
 
 let slow_loris () =
   with_server (fun port ->
@@ -608,189 +607,118 @@ let shutdown_drains_open_connections () =
         (String.concat " | " lines));
   Dt_runtime.Client.close idle
 
-(* ------------------------- sharded server ---------------------------- *)
+(* Requests pipelined behind a QUIT are never answered: the server
+   sends the answers through OK bye, then closes. Text and binary. *)
+let quit_drops_pipelined_tail () =
+  let read_to_eof fd bytes =
+    let eof = ref false and buf = Buffer.create 256 in
+    let chunk = Bytes.create 4096 in
+    ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    while not !eof do
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> eof := true
+      | n -> Buffer.add_subbytes buf chunk 0 n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail "no EOF within 5 s after QUIT"
+    done;
+    Buffer.contents buf
+  in
+  let submit label =
+    Protocol.Submit { label; comm = 1.0; comp = 0.5; mem = 1.0; arrival = 0.0 }
+  in
+  let check_answers init accepted bye =
+    Alcotest.(check bool) "INIT answered" true (starts_with "OK capacity=10" init);
+    Alcotest.(check string) "SUBMIT a answered" "OK accepted id=0" accepted;
+    Alcotest.(check string) "QUIT answered" "OK bye" bye
+  in
+  with_server (fun port ->
+      let fd = raw_connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let got =
+            read_to_eof fd "INIT 10\nSUBMIT a 1 0.5 1\nQUIT\nSTATS\nSUBMIT b 1 0.5 1\n"
+          in
+          match String.split_on_char '\n' got with
+          | [ init; accepted; bye; "" ] -> check_answers init accepted bye
+          | _ -> Alcotest.failf "text: expected three answers then EOF, got %S" got);
+      let fd = raw_connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let got =
+            read_to_eof fd
+              ("INIT 10 OOSCMR binary\n"
+              ^ Protocol.encode_request_frame
+                  [ submit "a"; Protocol.Quit; Protocol.Stats; submit "b" ])
+          in
+          let rec frames pos =
+            if pos = String.length got then []
+            else
+              match Protocol.extract_frame got ~pos with
+              | Protocol.Frame (payload, used) -> (
+                  match Protocol.decode_responses payload with
+                  | Ok lines -> lines :: frames (pos + used)
+                  | Error msg -> Alcotest.failf "bad response frame: %s" msg)
+              | Protocol.Need_more | Protocol.Frame_error _ ->
+                  Alcotest.failf "binary: trailing bytes %S" got
+          in
+          match frames 0 with
+          | [ [ init ]; [ accepted ]; [ bye ] ] -> check_answers init accepted bye
+          | fs ->
+              Alcotest.failf "binary: expected three one-line frames then EOF, got %d"
+                (List.length fs)))
 
-let shard_field line = Dt_runtime.Client.response_field "shard" line
-
-(* Affinity: a connection's shard is assigned at accept and never moves;
-   consecutive connections land on different shards (round-robin over 2);
-   STATS carries the pool counters. *)
-let shard_affinity_and_stats () =
-  Dt_par.Pool.with_pool ~num_domains:2 (fun pool ->
-      with_server ~pool (fun port ->
-          let a = Dt_runtime.Client.connect ~port () in
+(* STATS over TCP carries the poller backend and, once a batch ran, the
+   loop's positive minor words per request. *)
+let stats_report_backend_and_alloc () =
+  let word key line =
+    List.find_map
+      (fun w ->
+        let k = key ^ "=" in
+        if starts_with k w then
+          Some (String.sub w (String.length k) (String.length w - String.length k))
+        else None)
+      (String.split_on_char ' ' line)
+  in
+  List.iter
+    (fun (backend, name) ->
+      with_server ~backend (fun port ->
+          let conn = Dt_runtime.Client.connect ~port () in
           Fun.protect
-            ~finally:(fun () -> Dt_runtime.Client.close a)
+            ~finally:(fun () -> Dt_runtime.Client.close conn)
             (fun () ->
-              (* a is accepted before b connects, so the round-robin
-                 counter has advanced exactly once in between *)
-              let stats_a1 =
-                expect_ok "STATS a" (Dt_runtime.Client.request a Protocol.Stats)
+              ignore (expect_ok "INIT" (Dt_runtime.Client.request_line conn "INIT 10"));
+              let responses =
+                Dt_runtime.Client.request_pipelined conn
+                  (List.init 8 (fun i ->
+                       Protocol.Submit
+                         {
+                           label = Printf.sprintf "t%d" i;
+                           comm = 1.0;
+                           comp = 0.5;
+                           mem = 1.0;
+                           arrival = 0.0;
+                         }))
               in
-              let b = Dt_runtime.Client.connect ~port () in
-              Fun.protect
-                ~finally:(fun () -> Dt_runtime.Client.close b)
-                (fun () ->
-                  let stats_b =
-                    expect_ok "STATS b" (Dt_runtime.Client.request b Protocol.Stats)
-                  in
-                  ignore
-                    (expect_ok "INIT a"
-                       (Dt_runtime.Client.request_line a "INIT 10 OOSCMR"));
-                  ignore
-                    (expect_ok "SUBMIT a"
-                       (Dt_runtime.Client.request_line a "SUBMIT x 1 0.5 1"));
-                  let stats_a2 =
-                    expect_ok "STATS a again"
-                      (Dt_runtime.Client.request a Protocol.Stats)
-                  in
-                  (match (shard_field stats_a1, shard_field stats_a2) with
-                  | Some s1, Some s2 ->
-                      Alcotest.(check (float 0.0))
-                        "shard stable across a connection's lifetime" s1 s2
-                  | _ -> Alcotest.fail "STATS must report the shard");
-                  (match (shard_field stats_a1, shard_field stats_b) with
-                  | Some sa, Some sb ->
-                      Alcotest.(check bool)
-                        "consecutive connections on different shards" true
-                        (sa <> sb)
-                  | _ -> Alcotest.fail "STATS must report the shard");
-                  match
-                    Dt_runtime.Client.response_field "pool_jobs" stats_a2
-                  with
-                  | Some jobs ->
-                      (* every request batch so far was a pinned pool job *)
-                      Alcotest.(check bool)
-                        "pool job counter visible and advancing" true
-                        (jobs >= 4.0)
-                  | None -> Alcotest.fail "STATS must report pool_jobs"))))
-
-(* No cross-shard head-of-line blocking: while one shard is stuck in a
-   slow request, a connection on the other shard completes a full session
-   promptly. (The pre-shard server fanned ready batches out through one
-   barrier per round: the slow batch would have delayed everyone.) *)
-let cross_shard_progress () =
-  let slow_s = 0.8 in
-  Session.fault_hook :=
-    (fun req ->
-      match req with
-      | Protocol.Submit { label = "slow"; _ } -> Unix.sleepf slow_s
-      | _ -> ());
-  Fun.protect
-    ~finally:(fun () -> Session.fault_hook := fun _ -> ())
-    (fun () ->
-      (* hook installed before the domains spawn: they see it *)
-      Dt_par.Pool.with_pool ~num_domains:2 (fun pool ->
-          with_server ~pool (fun port ->
-              let fd = raw_connect port in
-              Fun.protect
-                ~finally:(fun () ->
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () ->
-                  let send s =
-                    ignore (Unix.write_substring fd s 0 (String.length s))
-                  in
-                  let ic = Unix.in_channel_of_descr fd in
-                  send "INIT 10 OOSCMR\n";
-                  Alcotest.(check bool) "INIT answered" true
-                    (starts_with "OK" (input_line ic));
-                  (* fire the slow request and do NOT wait for the answer *)
-                  send "SUBMIT slow 1 0.5 1\n";
-                  Unix.sleepf 0.05 (* let it reach its shard *);
-                  let t0 = Unix.gettimeofday () in
-                  round_trip port (* lands on the other shard *);
-                  let elapsed = Unix.gettimeofday () -. t0 in
+              List.iter (fun r -> ignore (expect_ok "SUBMIT" r)) responses;
+              let stats =
+                expect_ok "STATS" (Dt_runtime.Client.request conn Protocol.Stats)
+              in
+              Alcotest.(check (option string))
+                (name ^ ": backend") (Some name) (word "backend" stats);
+              match Dt_runtime.Client.response_field "minor_words_per_req" stats with
+              | Some w ->
                   Alcotest.(check bool)
-                    (Printf.sprintf
-                       "other shard served a full session in %.2fs while one \
-                        shard slept %.1fs"
-                       elapsed slow_s)
-                    true
-                    (elapsed < slow_s -. 0.1);
-                  (* the slow request itself completes fine afterwards *)
-                  Alcotest.(check bool) "slow SUBMIT answered" true
-                    (starts_with "OK accepted" (input_line ic))))))
-
-(* SHUTDOWN drains every shard: sessions with work on both shards get
-   their queued responses before the server goes away. *)
-let shutdown_drains_all_shards () =
-  Dt_par.Pool.with_pool ~num_domains:2 (fun pool ->
-      let server = Dt_runtime.Server.create ~port:0 () in
-      let port = Dt_runtime.Server.port server in
-      let domain =
-        Domain.spawn (fun () -> Dt_runtime.Server.run ~pool server)
-      in
-      let a = Dt_runtime.Client.connect ~port () in
-      let b = Dt_runtime.Client.connect ~port () in
-      ignore (expect_ok "INIT a" (Dt_runtime.Client.request_line a "INIT 10 OOSCMR"));
-      ignore (expect_ok "INIT b" (Dt_runtime.Client.request_line b "INIT 10 OOSCMR"));
-      ignore (expect_ok "SUBMIT b" (Dt_runtime.Client.request_line b "SUBMIT y 1 0.5 1"));
-      (* SHUTDOWN from a (one shard) while b (the other shard) is live:
-         the acknowledgement must arrive, then everything closes *)
-      ignore (expect_ok "SHUTDOWN" (Dt_runtime.Client.request a Protocol.Shutdown));
-      Domain.join domain;
-      (match Dt_runtime.Client.request b Protocol.Stats with
-      | exception (Failure _ | Sys_error _ | Unix.Unix_error _) -> ()
-      | lines ->
-          Alcotest.failf "other shard's connection survived shutdown: %s"
-            (String.concat " | " lines));
-      Dt_runtime.Client.close a;
-      Dt_runtime.Client.close b)
-
-(* DTSCHED_DOMAINS=1 collapses to the single-shard behaviour the rest of
-   the suite pins: every connection on shard 0, order preserved. *)
-let single_shard_collapse () =
-  let previous = Sys.getenv_opt "DTSCHED_DOMAINS" in
-  Unix.putenv "DTSCHED_DOMAINS" "1";
-  Fun.protect
-    ~finally:(fun () ->
-      match previous with
-      | Some v -> Unix.putenv "DTSCHED_DOMAINS" v
-      | None -> Unix.putenv "DTSCHED_DOMAINS" "1")
-    (fun () ->
-      Alcotest.(check int)
-        "DTSCHED_DOMAINS=1 sizes the default pool to one shard" 1
-        (Dt_par.Pool.default_num_domains ());
-      Dt_par.Pool.with_pool (fun pool ->
-          Alcotest.(check int) "one shard" 1 (Dt_par.Pool.num_domains pool);
-          with_server ~pool (fun port ->
-              (* both connections land on the only shard *)
-              let a = Dt_runtime.Client.connect ~port () in
-              Fun.protect
-                ~finally:(fun () -> Dt_runtime.Client.close a)
-                (fun () ->
-                  let sa =
-                    expect_ok "STATS a" (Dt_runtime.Client.request a Protocol.Stats)
-                  in
-                  Alcotest.(check (option (float 0.0)))
-                    "first connection on shard 0" (Some 0.0) (shard_field sa);
-                  round_trip port;
-                  let sb =
-                    expect_ok "STATS a after neighbour"
-                      (Dt_runtime.Client.request a Protocol.Stats)
-                  in
-                  Alcotest.(check (option (float 0.0)))
-                    "still shard 0" (Some 0.0) (shard_field sb);
-                  (* pipelined writes keep order through the shard *)
-                  let fd = raw_connect port in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      try Unix.close fd with Unix.Unix_error _ -> ())
-                    (fun () ->
-                      let s = "INIT 10 OOSCMR\nSUBMIT a 1 0.5 1\nSTATS\nQUIT\n" in
-                      ignore (Unix.write_substring fd s 0 (String.length s));
-                      let ic = Unix.in_channel_of_descr fd in
-                      let expect what prefix =
-                        match input_line ic with
-                        | line ->
-                            Alcotest.(check bool) what true (starts_with prefix line)
-                        | exception End_of_file ->
-                            Alcotest.failf "%s: connection closed" what
-                      in
-                      expect "INIT answer" "OK capacity=10";
-                      expect "SUBMIT answer" "OK accepted id=0";
-                      expect "STATS answer" "OK scheduled=";
-                      expect "QUIT answer" "OK bye")))))
+                    (Printf.sprintf "%s: minor_words_per_req %g > 0" name w)
+                    true (w > 0.0)
+              | None -> Alcotest.failf "%s: no minor_words_per_req in %s" name stats)))
+    [
+      ((`Auto : Dt_runtime.Poller.kind),
+        if Dt_runtime.Poller.epoll_available then "epoll" else "select");
+      (`Select, "select");
+    ]
 
 (* ------------------- binary framing and backpressure ----------------- *)
 
@@ -1183,6 +1111,31 @@ let prop_encode_into_identical =
          Protocol.frame_into fbuf payload;
          Iobuf.contents fbuf = u32_be_string (String.length payload) ^ payload))
 
+(* the server writes every answer through Session.emit_into: appended
+   after whatever the connection already queued, text must be the lines
+   '\n'-terminated and binary exactly one response frame *)
+let prop_emit_into_identical =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"Session.emit_into = text lines / response frame, byte for byte"
+       ~print:(fun (queued, binary, lines) ->
+         Printf.sprintf "%S %b %s" queued binary (String.concat " | " lines))
+       QCheck2.Gen.(
+         triple
+           (string_size ~gen:printable (int_range 0 40))
+           bool
+           (list_size (int_range 0 12)
+              (string_size ~gen:printable (int_range 0 60))))
+       (fun (queued, binary, lines) ->
+         let buf = Iobuf.create ~chunk_size:16 () in
+         Iobuf.add_string buf queued;
+         Session.emit_into buf ~binary lines;
+         let expected =
+           if binary then Protocol.encode_response_frame lines
+           else String.concat "" (List.map (fun l -> l ^ "\n") lines)
+         in
+         Iobuf.contents buf = queued ^ expected))
+
 (* the chunked-buffer frame decoder agrees with the flat-string one on
    every possible truncation, and leaves trailing bytes for the next
    frame *)
@@ -1383,14 +1336,10 @@ let suite =
     Alcotest.test_case "pipelined requests keep order" `Quick pipelined_requests;
     Alcotest.test_case "SHUTDOWN drains with clients open" `Quick
       shutdown_drains_open_connections;
-    Alcotest.test_case "shard affinity is stable; STATS shows pool counters"
-      `Quick shard_affinity_and_stats;
-    Alcotest.test_case "slow shard does not block the others" `Quick
-      cross_shard_progress;
-    Alcotest.test_case "SHUTDOWN drains every shard" `Quick
-      shutdown_drains_all_shards;
-    Alcotest.test_case "DTSCHED_DOMAINS=1 collapses to one shard" `Quick
-      single_shard_collapse;
+    Alcotest.test_case "requests pipelined after QUIT get no answer" `Quick
+      quit_drops_pipelined_tail;
+    Alcotest.test_case "STATS reports backend and minor words per request"
+      `Quick stats_report_backend_and_alloc;
     prop_binary_codec_roundtrip;
     Alcotest.test_case "binary codec: truncation, bounds, recovery" `Quick
       binary_codec_edges;
@@ -1409,11 +1358,12 @@ let suite =
     Alcotest.test_case "client survives server close (SIGPIPE)" `Quick
       client_survives_server_close;
     prop_encode_into_identical;
+    prop_emit_into_identical;
     prop_frame_of_buf_matches_extract;
     Alcotest.test_case "frame errors agree across decoders" `Quick
       frame_error_messages_agree;
-    Alcotest.test_case "256 KiB frame fed byte-by-byte reassembles linearly"
-      `Quick large_frame_byte_by_byte;
     Alcotest.test_case "short writev calls resume mid-iovec" `Quick
       short_writes_resume;
+    Alcotest.test_case "256 KiB frame fed byte-by-byte reassembles linearly"
+      `Quick large_frame_byte_by_byte;
   ]
