@@ -26,7 +26,8 @@
    DTSCHED_SMOKE_BUDGET seconds (default 2.0) — a budget the quadratic
    code cannot meet — and each of the six offline policies and the
    online session must allocate at most [alloc_budget] minor words per
-   task. *)
+   task. Beside each count it prints the run's minor collections and
+   how many of them its allocation alone explains, with no threshold. *)
 
 open Dt_core
 module Engine = Dt_runtime.Engine
@@ -284,10 +285,18 @@ let run () =
    timing: host noise can neither pass nor fail it. *)
 let alloc_budget = 400.0
 
-let words_per_task n f =
-  let w0 = Gc.minor_words () in
+(* One run of [f]: its minor words per task, the minor collections it
+   made, and the number its allocation alone explains, ceil(words / minor
+   heap size). Collections above that were forced, e.g. by [Array.make]
+   seeding a large array with a young block, or by the remembered set
+   filling up. *)
+let alloc_of_run n f =
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections and w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
-  (Gc.minor_words () -. w0) /. float_of_int n
+  let words = Gc.minor_words () -. w0 in
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - c0 in
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  (words /. float_of_int n, collections, int_of_float (Float.ceil (words /. heap)))
 
 (* CI tripwire: 5k tasks through the full offline sweep plus the online
    drain, and 5k through the cached loop, each under a wall-clock budget
@@ -316,16 +325,19 @@ let smoke () =
   Printf.printf "core-smoke: %d-task cached %s at R=%g in %.3fs (budget %.1fs): %s\n" n
     (Cached_rules.name Residency.Lru Dynamic_rules.SCMR)
     cached_reuse cached_elapsed budget (verdict cached_elapsed);
-  let words =
-    List.map (fun p -> (offline_name p, words_per_task n (fun () -> offline_run p instance)))
+  let runs =
+    List.map (fun p -> (offline_name p, alloc_of_run n (fun () -> offline_run p instance)))
       offline_policies
     @ [
         ( Engine.policy_name online_policy ^ " online",
-          words_per_task n (fun () -> online_after ~capacity ~spacing tasks) );
+          alloc_of_run n (fun () -> online_after ~capacity ~spacing tasks) );
       ]
   in
-  let over = List.filter (fun (_, w) -> w > alloc_budget) words in
+  let over = List.filter (fun (_, (w, _, _)) -> w > alloc_budget) runs in
+  let line f = String.concat ", " (List.map (fun (name, r) -> name ^ " " ^ f r) runs) in
   Printf.printf "core-smoke: minor words per task (budget %.0f): %s: %s\n" alloc_budget
-    (String.concat ", " (List.map (fun (name, w) -> Printf.sprintf "%s %.0f" name w) words))
+    (line (fun (w, _, _) -> Printf.sprintf "%.0f" w))
     (if over = [] then "PASS" else "FAIL");
+  Printf.printf "core-smoke: minor collections per run (by allocation alone): %s\n"
+    (line (fun (_, c, explained) -> Printf.sprintf "%d (%d)" c explained));
   if elapsed > budget || cached_elapsed > budget || over <> [] then exit 1

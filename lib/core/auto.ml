@@ -1,22 +1,25 @@
 let default_portfolio = Heuristic.all
 
 let best_on ?state ~candidates instance =
+  let evaluate h =
+    let st = Option.map Sim.copy_state state in
+    let s = Heuristic.run ?state:st h instance in
+    (h, s, Schedule.makespan s)
+  in
   match candidates with
   | [] -> invalid_arg "Auto: empty candidate list"
-  | _ ->
-      let evaluate h =
-        let st = Option.map Sim.copy_state state in
-        (h, Heuristic.run ?state:st h instance)
+  | first :: rest ->
+      (* Candidates run in list order and only the best schedule so far is
+         kept, so the losers die young. First strictly-better wins: ties
+         keep the earliest candidate. *)
+      let h, s, _ =
+        List.fold_left
+          (fun ((_, _, mb) as best) h ->
+            let (_, _, m) as c = evaluate h in
+            if Float.compare m mb < 0 then c else best)
+          (evaluate first) rest
       in
-      let scored = Array.of_list (List.map evaluate candidates) in
-      (* first strictly-better wins: ties keep the earliest candidate *)
-      let best = ref scored.(0) in
-      for i = 1 to Array.length scored - 1 do
-        let _, s = scored.(i) and _, sb = !best in
-        if Float.compare (Schedule.makespan s) (Schedule.makespan sb) < 0 then
-          best := scored.(i)
-      done;
-      !best
+      (h, s)
 
 let select ?(candidates = default_portfolio) instance = best_on ~candidates instance
 

@@ -5,11 +5,11 @@ let size h = h.size
 let is_empty h = h.size = 0
 
 let add h x =
-  if h.size = Array.length h.data then begin
-    let data = Array.make (max 8 (2 * h.size)) x in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end;
+  if h.size = Array.length h.data then
+    (* Double by appending the array to itself: seeding a large array
+       with a young [x] through [Array.make] would force a minor
+       collection on OCaml 5, [Array.append] does not. *)
+    h.data <- (if h.size = 0 then Array.make 8 x else Array.append h.data h.data);
   (* move the hole at the end up to [x]'s place *)
   let rec up i =
     if i = 0 then 0

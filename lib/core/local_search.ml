@@ -9,6 +9,12 @@
    undone on rejection; the only per-candidate allocation left is the
    state copy. *)
 
+(* The executor state before any task, shared by every call: [improve]
+   only ever copies [states.(0)]. Being long-lived, it seeds [states]
+   without the minor collection that OCaml 5's [Array.make] forces when
+   an array of more than 256 words is seeded with a young block. *)
+let start_state = Sim.initial_state ()
+
 let improve ?(max_rounds = 50) ~capacity order =
   let current = Array.of_list order in
   let n = Array.length current in
@@ -22,7 +28,7 @@ let improve ?(max_rounds = 50) ~capacity order =
   if n < 2 then (order, Schedule.makespan (Sim.run_order_exn ~capacity order))
   else begin
     (* states.(j) = executor state after scheduling current.(0 .. j-1) *)
-    let states = Array.make (n + 1) (Sim.initial_state ()) in
+    let states = Array.make (n + 1) start_state in
     let refresh_from i =
       for j = i to n - 1 do
         let st = Sim.copy_state states.(j) in

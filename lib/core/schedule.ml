@@ -9,17 +9,30 @@ type t = {
   capacity : float;
 }
 
+let compare_entries a b =
+  let c = Float.compare a.s_comm b.s_comm in
+  if c <> 0 then c
+  else
+    let c = Float.compare a.s_comp b.s_comp in
+    if c <> 0 then c else Int.compare a.task.Task.id b.task.Task.id
+
+(* Seeds the entry array. Long-lived, because OCaml 5's [Array.make]
+   (and [Array.of_list], which calls it) runs a minor collection when an
+   array of more than 256 words is seeded with a young block, as a
+   freshly made first entry is. *)
+let filler =
+  { task = Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 (); s_comm = 0.0; s_comp = 0.0 }
+
 let make ~capacity entries =
-  let entries = Array.of_list entries in
-  let cmp a b =
-    let c = Float.compare a.s_comm b.s_comm in
-    if c <> 0 then c
-    else
-      let c = Float.compare a.s_comp b.s_comp in
-      if c <> 0 then c else Int.compare a.task.Task.id b.task.Task.id
+  let a = Array.make (List.length entries) filler in
+  List.iteri (fun i e -> a.(i) <- e) entries;
+  (* Every executor emits its entries in this order already. A strictly
+     increasing array has exactly one sorted order, so it is kept. *)
+  let rec ordered i =
+    i + 1 >= Array.length a || (compare_entries a.(i) a.(i + 1) < 0 && ordered (i + 1))
   in
-  Array.sort cmp entries;
-  { entries; capacity }
+  if not (ordered 0) then Array.sort compare_entries a;
+  { entries = a; capacity }
 
 let entries t = Array.to_list t.entries
 

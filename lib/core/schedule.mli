@@ -14,7 +14,10 @@ type t = private {
 }
 
 val make : capacity:float -> entry list -> t
-(** Sorts entries by communication start. Does not validate; see {!check}. *)
+(** Sorts entries by communication start, then computation start, then
+    task id. Input already strictly increasing in that order, as every
+    executor emits it, is kept as given, in O(n). Does not validate; see
+    {!check}. *)
 
 val entries : t -> entry list
 val size : t -> int

@@ -187,7 +187,7 @@ let replay conn ~trace ~rate ?(policy = Engine.Corrected Corrected_rules.OOSCMR)
   if pipeline < 1 then invalid_arg "Client.replay: pipeline must be >= 1";
   let capacity = Dt_trace.Trace.min_capacity trace *. capacity_factor in
   let tasks = trace.Dt_trace.Trace.tasks in
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   ignore
     (expect_ok "INIT"
@@ -250,7 +250,7 @@ let replay conn ~trace ~rate ?(policy = Engine.Corrected Corrected_rules.OOSCMR)
     List.iter (fun task -> ignore (Engine.submit engine task)) tasks;
     Schedule.makespan (Engine.drain engine)
   in
-  let gc1 = Gc.quick_stat () in
+  let gc1 = Gc.quick_stat () and w1 = Gc.minor_words () in
   let sorted = Array.of_list !latencies in
   Array.sort Float.compare sorted;
   let requests = !submitted + 2 in
@@ -267,7 +267,7 @@ let replay conn ~trace ~rate ?(policy = Engine.Corrected Corrected_rules.OOSCMR)
     p999_latency_s = percentile sorted 0.999;
     gc =
       {
-        minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
+        minor_words = w1 -. w0;
         major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
         minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
         major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;

@@ -56,7 +56,9 @@ type gc_stats = {
   major_collections : int;
 }
 (** Client-process GC deltas over one replay ([Gc.quick_stat] sampled
-    before and after): what driving the load costs the *client* in
+    before and after; [minor_words] from [Gc.minor_words], because
+    [Gc.quick_stat]'s [minor_words] only advances at a minor collection
+    on OCaml 5.1): what driving the load costs the *client* in
     allocation — the server-side budget travels in STATS
     ([minor_words_per_req]) instead. *)
 

@@ -302,3 +302,22 @@ module Bp = struct
     List.iter place tasks;
     List.map (fun b -> List.rev b.members) !open_bins
 end
+
+(* Old Schedule.make: the entries copied by [Array.of_list] and
+   heap-sorted, whatever their order. [Schedule.t] is private, so this
+   returns the sorted array. *)
+module Sched = struct
+  open Schedule
+
+  let make entries =
+    let entries = Array.of_list entries in
+    let cmp a b =
+      let c = Float.compare a.s_comm b.s_comm in
+      if c <> 0 then c
+      else
+        let c = Float.compare a.s_comp b.s_comp in
+        if c <> 0 then c else Int.compare a.task.Task.id b.task.Task.id
+    in
+    Array.sort cmp entries;
+    entries
+end

@@ -27,4 +27,5 @@ let () =
       ("iobuf", Test_iobuf.suite);
       ("runtime", Test_runtime.suite);
       ("cluster", Test_cluster.suite);
+      ("minor-gc", Test_minor_gc.suite);
     ]

@@ -432,6 +432,52 @@ let duplicate_submit_rejected () =
   | Engine.Accepted -> ()
   | _ -> Alcotest.fail "id reuse after scheduling rejected"
 
+(* Entries on small grids, so that [s_comm] and [s_comp] often tie and
+   ids repeat (the Engine reuses ids across drains). *)
+let entries_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 80)
+      (triple (int_range 0 15) (int_range 0 6) (int_range 0 6)))
+
+let schedule_make_prop =
+  let print = QCheck2.Print.(list (triple int int int)) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print
+       ~name:"Schedule.make = frozen Array.of_list + Array.sort, entry for entry (==)"
+       entries_gen
+       (fun specs ->
+         let given =
+           List.map
+             (fun (id, c, p) ->
+               {
+                 Schedule.task = Task.make ~id ~comm:1.0 ~comp:1.0 ();
+                 s_comm = float_of_int c;
+                 s_comp = float_of_int p;
+               })
+             specs
+         in
+         let ordered = Array.to_list (Reference.Sched.make given) in
+         (* the ordered list without the entries that tie with their
+            predecessor: strictly increasing *)
+         let key (e : Schedule.entry) =
+           (e.Schedule.s_comm, e.Schedule.s_comp, e.Schedule.task.Task.id)
+         in
+         let strict =
+           List.rev
+             (List.fold_left
+                (fun acc e ->
+                  match acc with
+                  | prev :: _ when key prev = key e -> acc
+                  | _ -> e :: acc)
+                [] ordered)
+         in
+         List.for_all
+           (fun l ->
+             let got = (Schedule.make ~capacity:1.0 l).Schedule.entries
+             and want = Reference.Sched.make l in
+             Array.length got = Array.length want && Array.for_all2 ( == ) got want)
+           [ given; ordered; strict; List.rev ordered ]))
+
 let suite =
   List.concat
     [
@@ -452,5 +498,6 @@ let suite =
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;
+        schedule_make_prop;
       ];
     ]

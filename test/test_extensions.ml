@@ -267,3 +267,17 @@ let suite =
       Alcotest.test_case "advisor mix" `Quick advisor_mix;
       prop_advisor_total;
     ]
+
+(* On one task every heuristic reaches the same makespan, so the first
+   candidate in list order must win. *)
+let auto_tie_keeps_first () =
+  let i = Instance.make ~capacity:2.0 [ Task.make ~id:0 ~comm:1.0 ~comp:1.0 () ] in
+  let winner candidates = Heuristic.name (fst (Auto.select ~candidates i)) in
+  Alcotest.(check string) "BP first" "BP"
+    (winner [ Heuristic.Bp; Heuristic.Gg; Heuristic.Static Static_rules.OS ]);
+  Alcotest.(check string) "GG first" "GG"
+    (winner [ Heuristic.Gg; Heuristic.Bp; Heuristic.Static Static_rules.OS ])
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "auto tie keeps the first candidate" `Quick auto_tie_keeps_first ]

@@ -1310,6 +1310,21 @@ let short_writes_resume () =
                     (List.length entries)
               | [] -> Alcotest.fail "empty binary ENTRIES response")))
 
+(* The replay's [gc.minor_words] counts what the client allocated even
+   when no minor collection happens during it, as on a short trace
+   replayed right after one. *)
+let replay_counts_minor_words () =
+  let trace = Dt_trace.Trace.make ~name:"wire" tasks_for_wire in
+  with_server (fun port ->
+      let conn = Dt_runtime.Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Dt_runtime.Client.close conn)
+        (fun () ->
+          Gc.minor ();
+          let r = Dt_runtime.Client.replay conn ~trace ~rate:Float.infinity () in
+          let w = r.Dt_runtime.Client.gc.Dt_runtime.Client.minor_words in
+          if not (w > 0.0) then Alcotest.failf "replay minor_words %g, expected > 0" w))
+
 let suite =
   [
     prop_zero_arrivals_are_offline;
@@ -1366,4 +1381,6 @@ let suite =
       short_writes_resume;
     Alcotest.test_case "256 KiB frame fed byte-by-byte reassembles linearly"
       `Quick large_frame_byte_by_byte;
+    Alcotest.test_case "replay counts client minor words without a collection"
+      `Quick replay_counts_minor_words;
   ]
