@@ -279,10 +279,11 @@ let run () =
         pp_speedup_json sp_offline pp_speedup_json sp_online pp_speedup_json sp_cached)
 
 (* Minor words per task allowed to each decision loop on the smoke
-   instance. The candidate index copies no node, so a loop reads
-   ~110-180 (the index's two nodes per task, the simulator's entries,
-   the schedule); a path-copying index reads 1,400-1,500. A count, not a
-   timing: host noise can neither pass nor fail it. *)
+   instance. The candidate index allocates only an id-table entry per
+   never-seen task, so a loop reads ~60-150 (the simulator's entries,
+   the schedule, the index's selections); a path-copying index reads
+   1,400-1,500. A count, not a timing: host noise can neither pass nor
+   fail it. *)
 let alloc_budget = 400.0
 
 (* One run of [f]: its minor words per task, the minor collections it

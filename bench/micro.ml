@@ -57,9 +57,13 @@ let test_local_search =
    decisions, each a select under a memory level that leaves part of the
    index out (the fit binds; the filter does not, the CPU being busy
    long after [now]) and the removal of the winner, the criterion
-   cycling through LCMR, SCMR and MAMR. [interleaved]: an index of n/2
-   tasks fed one task per decision (one-by-one inserts), as online
-   arrivals between decisions are. *)
+   cycling through LCMR, SCMR and MAMR. Runs alternate between two
+   physically distinct copies of the tasks, so that every rebuild sorts,
+   as a served session's first DRAIN does. [interleaved]: the Engine's
+   pattern, n/2 tasks added and the other n/2 reserved, then one arrival
+   per decision. [portfolio]: the index calls of the six indexed rules
+   on one n-task instance, recorded once and replayed back to back, as
+   [Auto.best_on] makes them. *)
 let candidates_select idx k ~mean_mem =
   let crit = List.nth Dt_core.Dynamic_rules.all (k mod 3) in
   let select ~used ~kcap =
@@ -77,17 +81,25 @@ let candidates_tasks n =
   in
   (tasks, mean_mem)
 
+(* The same tasks in physically new records: a memo miss for the index. *)
+let physical_copy tasks =
+  List.map (fun (t : Dt_core.Task.t) -> Dt_core.Task.with_id t t.Dt_core.Task.id) tasks
+
 let test_candidates_drain =
   Test.make_indexed ~name:"drain" ~args:[ 200; 800; 5_000 ] (fun n ->
       let tasks, mean_mem = candidates_tasks n in
+      let copies = [| tasks; physical_copy tasks |] in
+      let run = ref 0 in
       Staged.stage (fun () ->
+          incr run;
           let idx = Dt_core.Candidates.create () in
-          List.iter (Dt_core.Candidates.add idx) tasks;
+          List.iter (Dt_core.Candidates.add idx) copies.(!run land 1);
           for k = 0 to n - 1 do
             match candidates_select idx k ~mean_mem with
             | Some t -> Dt_core.Candidates.remove idx t
             | None -> assert false
-          done))
+          done;
+          Dt_core.Candidates.release idx))
 
 let test_candidates_interleaved =
   Test.make_indexed ~name:"interleaved" ~args:[ 800 ] (fun n ->
@@ -96,13 +108,105 @@ let test_candidates_interleaved =
       Staged.stage (fun () ->
           let idx = Dt_core.Candidates.create () in
           List.iter (Dt_core.Candidates.add idx) first;
+          List.iter (Dt_core.Candidates.reserve idx) rest;
           List.iteri
             (fun k t ->
               Dt_core.Candidates.add idx t;
               match candidates_select idx k ~mean_mem with
               | Some t -> Dt_core.Candidates.remove idx t
               | None -> assert false)
-            rest))
+            rest;
+          Dt_core.Candidates.release idx))
+
+type call =
+  | Add of Dt_core.Task.t
+  | Find of int
+  | Select of Dt_core.Candidates.criterion * float * float * float * float
+  | Remove of Dt_core.Task.t
+
+(* The index calls of an offline run of a dynamic rule, or of a corrected
+   one given its static order: Greedy's loop, on the simulator. *)
+let record ?static crit (i : Dt_core.Instance.t) =
+  let open Dt_core in
+  let capacity = i.Instance.capacity in
+  let kcap = capacity *. (1.0 +. 1e-12) and tasks = Instance.task_list i in
+  let st = Sim.initial_state () and idx = Candidates.create () and calls = ref [] in
+  let log c = calls := c :: !calls in
+  List.iter (fun t -> log (Add t); Candidates.add idx t) tasks;
+  let order =
+    Option.map (fun cmp -> let h = Iheap.create ~cmp in List.iter (Iheap.add h) tasks; h) static
+  in
+  let rec head h =
+    match Iheap.peek h with
+    | None -> None
+    | Some (x : Task.t) -> (
+        log (Find x.Task.id);
+        match Candidates.find idx x.Task.id with
+        | Some y when y == x -> Some x
+        | _ ->
+            ignore (Iheap.pop h);
+            head h)
+  in
+  let select used =
+    let cpu_free = Sim.cpu_free_time st and now = Sim.link_free_time st in
+    log (Select (crit, used, kcap, cpu_free, now));
+    Candidates.select idx crit ~used ~kcap ~cpu_free ~now
+  in
+  while Candidates.size idx > 0 do
+    Sim.settle st;
+    let used = Sim.memory_in_use st in
+    let choice =
+      match order with
+      | None -> select used
+      | Some h -> (
+          match head h with
+          | Some x when used +. x.Task.mem <= kcap ->
+              ignore (Iheap.pop h);
+              Some x
+          | _ -> select used)
+    in
+    match choice with
+    | Some t ->
+        log (Remove t);
+        Candidates.remove idx t;
+        ignore (Sim.schedule_task st ~capacity t)
+    | None -> assert (Sim.advance_to_next_release st)
+  done;
+  Candidates.release idx;
+  List.rev !calls
+
+let replay calls =
+  let idx = Dt_core.Candidates.create () in
+  List.iter
+    (function
+      | Add t -> Dt_core.Candidates.add idx t
+      | Find id -> ignore (Dt_core.Candidates.find idx id)
+      | Select (crit, used, kcap, cpu_free, now) ->
+          ignore (Dt_core.Candidates.select idx crit ~used ~kcap ~cpu_free ~now)
+      | Remove t -> Dt_core.Candidates.remove idx t)
+    calls;
+  Dt_core.Candidates.release idx
+
+(* Runs alternate between two physically distinct copies of the
+   instance, so that each run's first rule sorts and the other five
+   reuse its layout. *)
+let test_candidates_portfolio =
+  Test.make_indexed ~name:"portfolio" ~args:[ 800 ] (fun n ->
+      let i = instance_of_size n in
+      let copy =
+        Dt_core.Instance.make_keep_ids ~capacity:i.Dt_core.Instance.capacity
+          (physical_copy (Dt_core.Instance.task_list i))
+      in
+      let calls i =
+        List.map (fun c -> record c i) Dt_core.Dynamic_rules.all
+        @ List.map
+            (fun r -> record ~static:Dt_core.Johnson.compare (Dt_core.Corrected_rules.criterion r) i)
+            Dt_core.Corrected_rules.all
+      in
+      let runs = [| calls i; calls copy |] and run = ref 0 in
+      Staged.stage (fun () ->
+          incr run;
+          List.iter replay runs.(!run land 1)))
 
 let run () =
   Printf.printf "\n== micro: heuristic scheduling cost (bechamel) ==\n\n";
@@ -113,7 +217,7 @@ let run () =
           (List.map test_of_heuristic representatives
           @ [ test_two_orders; test_local_search ]);
         Test.make_grouped ~name:"candidates"
-          [ test_candidates_drain; test_candidates_interleaved ];
+          [ test_candidates_drain; test_candidates_interleaved; test_candidates_portfolio ];
       ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in

@@ -13,15 +13,24 @@ let wall f =
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
-(* A configuration's wall clock is the median of [passes] timed passes
-   after one untimed one. A single cold pass of the fast workload lasts a
-   few milliseconds, short enough for host noise to decide the speedup
-   gate. *)
+(* A configuration's wall clock is the median of [passes] timed samples
+   after one untimed pass. A sample runs [per_sample] passes back to back
+   and reports their mean, the count being the same for every
+   configuration: a pass of the fast workload lasts a few milliseconds,
+   short enough for host noise to decide the speedup gate, so the count
+   is chosen once, from a sequential pass, for a sequential sample to
+   last at least [sample_s]. *)
 let passes = 5
+let sample_s = 0.1
 
-let timed_passes f =
+let timed_passes ~per_sample f =
   let first = f () in
-  let runs = List.init passes (fun _ -> wall f) in
+  let sample () =
+    let rec go k = if k = 1 then f () else (ignore (f ()); go (k - 1)) in
+    let outcome, s = wall (fun () -> go per_sample) in
+    (outcome, s /. float_of_int per_sample)
+  in
+  let runs = List.init passes (fun _ -> sample ()) in
   let times = List.map snd runs in
   (first :: List.map fst runs, Dt_stats.Descriptive.median (Array.of_list times), times)
 
@@ -42,8 +51,13 @@ let run () =
   Printf.printf "\n== scaling: fleet wall-clock vs domain count ==\n\n";
   let traces = Lazy.force Data.hf_traces in
   let policy = Dt_trace.Fleet.Portfolio Dt_core.Heuristic.all in
+  let per_sample =
+    ignore (Dt_trace.Fleet.run policy traces);
+    let _, s = wall (fun () -> Dt_trace.Fleet.run policy traces) in
+    max 1 (int_of_float (Float.ceil (sample_s /. s)))
+  in
   let seq_outcomes, seq_wall, seq_times =
-    timed_passes (fun () -> Dt_trace.Fleet.run policy traces)
+    timed_passes ~per_sample (fun () -> Dt_trace.Fleet.run policy traces)
   in
   let seq = List.hd seq_outcomes in
   let recommended = Domain.recommended_domain_count () in
@@ -56,7 +70,7 @@ let run () =
         let (outcomes, wall_s, times), stats =
           Dt_par.Pool.with_pool ~num_domains:domains (fun pool ->
               let timed =
-                timed_passes (fun () -> Dt_trace.Fleet.run ~pool policy traces)
+                timed_passes ~per_sample (fun () -> Dt_trace.Fleet.run ~pool policy traces)
               in
               (timed, Dt_par.Pool.stats pool))
         in
@@ -79,12 +93,12 @@ let run () =
            ])
          runs);
   Printf.printf
-    "\n(%d traces, portfolio of %d heuristics per process; median of %d passes \
-     after an untimed one; d domains = d workers + the calling domain; host \
-     recommends %d domains)\n"
+    "\n(%d traces, portfolio of %d heuristics per process; median of %d samples \
+     of %d back-to-back passes each, after an untimed pass; d domains = d workers \
+     + the calling domain; host recommends %d domains)\n"
     (Array.length traces)
     (List.length Dt_core.Heuristic.all)
-    passes recommended;
+    passes per_sample recommended;
   List.iter
     (fun (_, _, _, identical, _, _) ->
       if not identical then
@@ -114,6 +128,7 @@ let run () =
         \  \"application_lower_bound\": %.17g,\n\
         \  \"mean_ratio\": %.6f,\n\
         \  \"passes\": %d,\n\
+        \  \"passes_per_sample\": %d,\n\
         \  \"sequential_wall_s\": %.6f,\n\
         \  \"sequential_pass_s\": %s,\n\
         \  \"runs\": [\n"
@@ -123,7 +138,7 @@ let run () =
         Data.fast recommended (recommended < 2) best_multi
         seq.Dt_trace.Fleet.application_makespan
         seq.Dt_trace.Fleet.application_lower_bound
-        seq.Dt_trace.Fleet.mean_ratio passes seq_wall (json_times seq_times);
+        seq.Dt_trace.Fleet.mean_ratio passes per_sample seq_wall (json_times seq_times);
       List.iteri
         (fun i (d, w, s, identical, (st : Dt_par.Pool.stats), times) ->
           Printf.fprintf oc

@@ -175,4 +175,5 @@ let run ?policy ?(min_idle_filter = true) criterion instance =
         let advanced = Sim.cached_advance_to_next_event l.cs in
         assert advanced
   done;
+  Candidates.release l.cold;
   (Schedule.make ~capacity (List.rev !entries), Residency.stats (Sim.cached_residency l.cs))

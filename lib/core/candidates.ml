@@ -1,438 +1,413 @@
 type criterion = LCMR | SCMR | MAMR
 
-(* Two height-balanced trees over the unscheduled tasks, one keyed by
-   (comm, id) and one keyed by (mem, id), whose nodes carry subtree
-   aggregates answering the decision-loop queries:
+(* An immutable layout and a mutable state (see candidates.mli).
 
-     lo     argmin (comm asc, id asc)           — the SCMR winner
-     hi     argmax comm, ties to lower id       — the LCMR winner
-     best   argmax (acceleration desc, id asc)  — the MAMR winner
-     least  smallest memory requirement         — prunes fitting searches
+   The layout's slots hold the tasks known at the last rebuild; it keeps
+   the slots in (mem, id), (comm, id) and MAMR order, each slot's
+   position in each, the keys in order and the ids ascending.
 
-   The fits-now test [used +. mem <= kcap] is monotone in mem, so the
-   fitting set is a key prefix of the (mem, id) tree: one descent
-   accumulates the aggregates of exactly the fitting tasks, whatever the
-   current memory level — no task ever migrates between fits/blocked
-   structures as memory fluctuates.
+   The state keeps a live, dormant or dead byte per slot and three
+   implicit min trees over [leaves] leaves (node k's children are 2k and
+   2k + 1, position p is leaf leaves + p), whose nodes hold the least
+   value of the live slots below them, [max_int] for none:
 
-   Layout: each task owns a slot, and each tree a node record per slot
-   holding the task's fields and the tree's links, height and
-   aggregates, the links and aggregates being slots of the same tree.
-   Rotations and deletions relink nodes in place, writing ints only, so
-   no operation copies a node and no float is written after a node is
-   made; a node is a small block, so growing the index allocates only
-   the two slot arrays. Slot 0 is the empty tree, with height 0. An
-   added task waits in a pending list until the next select or remove
-   flushes it into the trees (see [flush]). *)
+     tm  over the (mem, id) order: MAMR ranks. The fitting tasks are a
+         prefix of the order, so MAMR's winner is a prefix minimum;
+     cm  over the (comm, id) order: (mem, id) positions, so a subtree
+         holds a fitting task iff its value is below the fitting prefix's
+         length. SCMR's winner is the first fitting position, LCMR's the
+         first fitting one of the last fitting position's comm group;
+     ca  over the (comm, id) order: MAMR ranks, for the pruned search
+         when the min-idle filter binds.
 
-let nil = 0
+   A task that the layout does not hold waits in [pending] until the next
+   [select] or [remove] lays out the pending tasks and the live and
+   dormant members. *)
 
-(* A node of one tree. Its task's fields are fixed when the slot is
-   filled; the links and aggregates are slots of the same tree. *)
-type node = {
-  task : Task.t;
-  id : int;
-  comm : float;
-  mem : float;
-  acc : float; (* Task.acceleration task *)
-  mutable l : int;
-  mutable r : int;
-  mutable h : int;
-  mutable lo : int;
-  mutable hi : int;
-  mutable best : int;
-  mutable least : int;
+let dead = '\000'
+let live = '\001'
+let dormant = '\002'
+
+type layout = {
+  tasks : Task.t array; (* by slot *)
+  ids : int array; (* ascending *)
+  by_id : int array; (* the slot of ids.(i) *)
+  mems : float array; (* by (mem, id) position *)
+  comms : float array; (* by (comm, id) position *)
+  by_comm : int array; (* the slot at each (comm, id) position *)
+  by_mamr : int array; (* the slot of each MAMR rank *)
+  mem_pos : int array; (* by slot *)
+  comm_pos : int array; (* by slot *)
+  mamr : int array; (* by slot: the MAMR rank *)
+  leaves : int; (* the least power of two >= max 1 slots *)
 }
 
-type tree = {
-  by_mem : bool; (* keyed (mem, id), else (comm, id) *)
-  mutable root : int;
-  mutable nodes : node array; (* by slot *)
-}
+module Ids = Hashtbl.Make (Int)
 
 type t = {
-  byc : tree; (* keyed (comm, id) *)
-  bym : tree; (* keyed (mem, id) *)
-  mutable next : int; (* slots [1, next) have been handed out *)
-  mutable free : int list; (* released slots *)
-  mutable pending : int list; (* added, not yet in the trees *)
+  mutable lay : layout;
+  mutable state : Bytes.t; (* by slot *)
+  mutable tm : int array;
+  mutable cm : int array;
+  mutable ca : int array;
+  mutable live : int; (* live tasks, pending ones included *)
+  mutable pending : Task.t array; (* not in the layout, in add order *)
+  mutable pstate : Bytes.t; (* by pending index *)
   mutable npending : int;
-  mutable n : int; (* indexed + pending *)
-  ids : (int, int) Hashtbl.t; (* task id -> slot, indexed or pending *)
+  pids : int Ids.t; (* pending id -> pending index *)
 }
 
-(* Larger acceleration wins, ties to the smaller id. *)
-let better ns a b =
-  let a = ns.(a) and b = ns.(b) in
-  let c = Float.compare a.acc b.acc in
-  c > 0 || (c = 0 && a.id < b.id)
+let imin (a : int) b = if a <= b then a else b
 
-(* The three pickers keep the first slot unless the second wins, and
-   take [nil] as "no task yet" on the left. *)
-let pick_lo ns a b =
-  if a = nil then b
-  else
-    let x = ns.(a) and y = ns.(b) in
-    let c = Float.compare x.comm y.comm in
-    if c < 0 || (c = 0 && x.id <= y.id) then a else b
+(* Keys are never NaN (Task.make rejects it), so [<] and [=] order them
+   as [Float.compare] does. *)
+let[@inline] before (key : float array) (id : int array) a b =
+  let x = key.(a) and y = key.(b) in
+  x < y || (x = y && id.(a) < id.(b))
 
-let pick_hi ns a b =
-  if a = nil then b
-  else
-    let x = ns.(a) and y = ns.(b) in
-    let c = Float.compare x.comm y.comm in
-    if c > 0 || (c = 0 && x.id <= y.id) then a else b
+(* The slots sorted by (key, id): a bottom-up merge sort. *)
+let sorted key id =
+  let n = Array.length key in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) and w = ref 1 in
+  while !w < n do
+    let a = !src and b = !dst and lo = ref 0 in
+    while !lo < n do
+      let mid = imin n (!lo + !w) and hi = imin n (!lo + (2 * !w)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        let left = !j >= hi || (!i < mid && not (before key id a.(!j) a.(!i))) in
+        b.(k) <- (if left then a.(!i) else a.(!j));
+        if left then incr i else incr j
+      done;
+      lo := hi
+    done;
+    src := b;
+    dst := a;
+    w := 2 * !w
+  done;
+  !src
 
-let pick_best ns a b = if a = nil || better ns b a then b else a
+let inverse a =
+  let inv = Array.make (Array.length a) 0 in
+  Array.iteri (fun i s -> inv.(s) <- i) a;
+  inv
 
-(* Recompute the height and aggregates of [x] from its children. *)
-let refresh ns x =
-  let n = ns.(x) in
-  let l = ns.(n.l) and r = ns.(n.r) in
-  n.h <- 1 + max l.h r.h;
-  let lo = ref x and hi = ref x and best = ref x and least = ref x in
-  if n.l <> nil then begin
-    lo := pick_lo ns !lo l.lo;
-    hi := pick_hi ns !hi l.hi;
-    best := pick_best ns !best l.best;
-    if ns.(l.least).mem < ns.(!least).mem then least := l.least
-  end;
-  if n.r <> nil then begin
-    lo := pick_lo ns !lo r.lo;
-    hi := pick_hi ns !hi r.hi;
-    best := pick_best ns !best r.best;
-    if ns.(r.least).mem < ns.(!least).mem then least := r.least
-  end;
-  n.lo <- !lo;
-  n.hi <- !hi;
-  n.best <- !best;
-  n.least <- !least
-
-(* Order of the tree's keys: (key, id). *)
-let cmp tr a b =
-  let a = tr.nodes.(a) and b = tr.nodes.(b) in
-  let c = if tr.by_mem then Float.compare a.mem b.mem else Float.compare a.comm b.comm in
-  if c <> 0 then c else Int.compare a.id b.id
-
-let rotate_right ns x =
-  let n = ns.(x) in
-  let y = n.l in
-  n.l <- ns.(y).r;
-  ns.(y).r <- x;
-  refresh ns x;
-  refresh ns y;
-  y
-
-let rotate_left ns x =
-  let n = ns.(x) in
-  let y = n.r in
-  n.r <- ns.(y).l;
-  ns.(y).l <- x;
-  refresh ns x;
-  refresh ns y;
-  y
-
-(* Set-style AVL balance (heights may differ by 2) of a node whose
-   subtrees are balanced and differ by at most 3; returns the new
-   subtree root. *)
-let balance ns x =
-  let n = ns.(x) in
-  let l = ns.(n.l) and r = ns.(n.r) in
-  if l.h > r.h + 2 then begin
-    if ns.(l.l).h < ns.(l.r).h then n.l <- rotate_left ns n.l;
-    rotate_right ns x
-  end
-  else if r.h > l.h + 2 then begin
-    if ns.(r.r).h < ns.(r.l).h then n.r <- rotate_right ns n.r;
-    rotate_left ns x
-  end
-  else begin
-    refresh ns x;
-    x
-  end
-
-let rec insert tr x i =
-  let ns = tr.nodes in
-  if i = nil then begin
-    refresh ns x;
-    x
-  end
-  else begin
-    let n = ns.(i) in
-    (* ids are unique, so the keys are too *)
-    if cmp tr x i < 0 then n.l <- insert tr x n.l else n.r <- insert tr x n.r;
-    balance ns i
-  end
-
-let rec leftmost ns i = if ns.(i).l = nil then i else leftmost ns ns.(i).l
-
-let rec remove_min ns i =
-  let n = ns.(i) in
-  if n.l = nil then n.r
-  else begin
-    n.l <- remove_min ns n.l;
-    balance ns i
-  end
-
-(* Unlink slot [x], which the subtree [i] holds. *)
-let rec delete tr x i =
-  assert (i <> nil) (* membership checked against the id table *);
-  let ns = tr.nodes in
-  let n = ns.(i) in
-  if i = x then begin
-    if n.l = nil then n.r
-    else if n.r = nil then n.l
-    else begin
-      let m = leftmost ns n.r in
-      let mn = ns.(m) in
-      mn.r <- remove_min ns n.r;
-      mn.l <- n.l;
-      balance ns m
-    end
-  end
-  else begin
-    if cmp tr x i < 0 then n.l <- delete tr x n.l else n.r <- delete tr x n.r;
-    balance ns i
-  end
-
-(* A perfectly balanced tree over the sorted slots [a.(lo) .. a.(hi - 1)]. *)
-let rec build ns a lo hi =
-  if lo >= hi then nil
-  else begin
-    let mid = (lo + hi) / 2 in
-    let x = a.(mid) in
-    let n = ns.(x) in
-    n.l <- build ns a lo mid;
-    n.r <- build ns a (mid + 1) hi;
-    refresh ns x;
-    x
-  end
-
-let rec fill_inorder ns a k i =
-  if i = nil then k
-  else begin
-    let k = fill_inorder ns a k ns.(i).l in
-    a.(k) <- i;
-    fill_inorder ns a (k + 1) ns.(i).r
-  end
-
-(* Rebuild both trees over the indexed and the pending slots. *)
-let rebuild t =
-  let a = Array.make t.n nil in
-  let k = fill_inorder t.byc.nodes a 0 t.byc.root in
-  List.iteri (fun i s -> a.(k + i) <- s) t.pending;
-  List.iter
-    (fun tr ->
-      Array.stable_sort (cmp tr) a;
-      tr.root <- build tr.nodes a 0 t.n)
-    [ t.byc; t.bym ]
-
-(* Move the pending slots into the trees: a rebuild when they are at
-   least as many as the indexed ones, so that its O(n log n) is paid for
-   by as many adds; one-by-one inserts otherwise. *)
-let flush t =
-  if t.npending > 0 then begin
-    if 2 * t.npending >= t.n then rebuild t
-    else
-      List.iter
-        (fun x ->
-          t.byc.root <- insert t.byc x t.byc.root;
-          t.bym.root <- insert t.bym x t.bym.root)
-        t.pending;
-    t.pending <- [];
-    t.npending <- 0
-  end
-
-let node (task : Task.t) acc =
+let layout_of tasks =
+  let n = Array.length tasks in
+  let id = Array.map (fun (t : Task.t) -> t.Task.id) tasks in
+  let comm = Array.map (fun (t : Task.t) -> t.Task.comm) tasks in
+  let mem = Array.map (fun (t : Task.t) -> t.Task.mem) tasks in
+  let by_comm = sorted comm id and by_mem = sorted mem id in
+  let by_mamr = sorted (Array.map (fun t -> -.Task.acceleration t) tasks) id in
+  let rec ascending i = i + 1 >= n || (id.(i) < id.(i + 1) && ascending (i + 1)) in
+  let by_id = if ascending 0 then Array.init n Fun.id else sorted (Array.map float_of_int id) id in
+  let leaves = ref 1 in
+  while !leaves < n do
+    leaves := 2 * !leaves
+  done;
   {
-    task;
-    id = task.Task.id;
-    comm = task.Task.comm;
-    mem = task.Task.mem;
-    acc;
-    l = nil;
-    r = nil;
-    h = 0;
-    lo = nil;
-    hi = nil;
-    best = nil;
-    least = nil;
+    tasks;
+    ids = Array.map (fun s -> id.(s)) by_id;
+    by_id;
+    mems = Array.map (fun s -> mem.(s)) by_mem;
+    comms = Array.map (fun s -> comm.(s)) by_comm;
+    by_comm;
+    by_mamr;
+    mem_pos = inverse by_mem;
+    comm_pos = inverse by_comm;
+    mamr = inverse by_mamr;
+    leaves = !leaves;
   }
 
-(* The node of the empty tree and of every free slot, shared and never
-   written (the empty tree is never refreshed). Being long-lived, it also
-   spares the growth of a slot array the minor collection that
-   [Array.make] forces when a large array's initial value is young. *)
-let empty = node (Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 ()) 0.0
+let empty = layout_of [||]
+
+(* A long-lived filler, so that no task array is seeded with a young
+   block (see DESIGN). *)
+let filler = Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 ()
+
+(* Per domain: the last layout built, which a rebuild over physically the
+   same task sequence reuses, and the last index handed back. *)
+let memo = Domain.DLS.new_key (fun () -> empty)
+let spare = Domain.DLS.new_key (fun () -> None)
 
 let create () =
-  let tree by_mem = { by_mem; root = nil; nodes = Array.make 16 empty } in
-  {
-    byc = tree false;
-    bym = tree true;
-    next = 1;
-    free = [];
-    pending = [];
-    npending = 0;
-    n = 0;
-    ids = Hashtbl.create 64;
-  }
+  match Domain.DLS.get spare with
+  | Some t ->
+      Domain.DLS.set spare None;
+      t
+  | None ->
+      {
+        lay = empty;
+        state = Bytes.empty;
+        tm = [||];
+        cm = [||];
+        ca = [||];
+        live = 0;
+        pending = Array.make 16 filler;
+        pstate = Bytes.make 16 dead;
+        npending = 0;
+        pids = Ids.create 16;
+      }
 
-let size t = t.n
+let release t =
+  t.lay <- empty;
+  t.live <- 0;
+  t.npending <- 0;
+  Ids.clear t.pids;
+  Domain.DLS.set spare (Some t)
+
+let size t = t.live
+
+(* Set position [p] of a min tree and update its root path, up to the
+   first node that does not change. *)
+let write tree leaves p v =
+  let k = ref (leaves + p) in
+  tree.(!k) <- v;
+  while !k > 1 do
+    let up = !k lsr 1 in
+    let m = imin tree.(2 * up) tree.((2 * up) + 1) in
+    if tree.(up) = m then k := 1
+    else begin
+      tree.(up) <- m;
+      k := up
+    end
+  done
+
+let set_live t s on =
+  let lay = t.lay in
+  let rank = if on then lay.mamr.(s) else max_int in
+  write t.tm lay.leaves lay.mem_pos.(s) rank;
+  write t.cm lay.leaves lay.comm_pos.(s) (if on then lay.mem_pos.(s) else max_int);
+  write t.ca lay.leaves lay.comm_pos.(s) rank
+
+let init_trees t =
+  let lay = t.lay and leaves = t.lay.leaves in
+  if Array.length t.tm < 2 * leaves then begin
+    t.tm <- Array.make (2 * leaves) max_int;
+    t.cm <- Array.make (2 * leaves) max_int;
+    t.ca <- Array.make (2 * leaves) max_int
+  end;
+  let tm = t.tm and cm = t.cm and ca = t.ca in
+  Array.fill tm leaves leaves max_int;
+  Array.fill cm leaves leaves max_int;
+  Array.fill ca leaves leaves max_int;
+  for s = 0 to Array.length lay.tasks - 1 do
+    if Bytes.get t.state s = live then begin
+      tm.(leaves + lay.mem_pos.(s)) <- lay.mamr.(s);
+      cm.(leaves + lay.comm_pos.(s)) <- lay.mem_pos.(s);
+      ca.(leaves + lay.comm_pos.(s)) <- lay.mamr.(s)
+    end
+  done;
+  for k = leaves - 1 downto 1 do
+    tm.(k) <- imin tm.(2 * k) tm.((2 * k) + 1);
+    cm.(k) <- imin cm.(2 * k) cm.((2 * k) + 1);
+    ca.(k) <- imin ca.(2 * k) ca.((2 * k) + 1)
+  done
+
+let push t task st =
+  let i = t.npending in
+  if i = Array.length t.pending then begin
+    t.pending <- Array.append t.pending t.pending;
+    t.pstate <- Bytes.cat t.pstate t.pstate
+  end;
+  t.pending.(i) <- task;
+  Bytes.set t.pstate i st;
+  t.npending <- i + 1
+
+(* Lay out the pending tasks followed by the live and dormant members,
+   reusing the domain's memo when it holds physically this sequence. *)
+let rebuild t =
+  let lay = t.lay in
+  for s = 0 to Array.length lay.tasks - 1 do
+    let c = Bytes.get t.state s in
+    if c <> dead then push t lay.tasks.(s) c
+  done;
+  let n = t.npending and m = Domain.DLS.get memo in
+  let same = ref (Array.length m.tasks = n) in
+  for i = 0 to n - 1 do
+    if !same then same := m.tasks.(i) == t.pending.(i)
+  done;
+  if not !same then Domain.DLS.set memo (layout_of (Array.sub t.pending 0 n));
+  t.lay <- Domain.DLS.get memo;
+  if Bytes.length t.state < n then t.state <- Bytes.create (Bytes.length t.pstate);
+  Bytes.blit t.pstate 0 t.state 0 n;
+  t.npending <- 0;
+  Ids.clear t.pids;
+  init_trees t
+
+(* The layout slot of the task with this id, or -1. *)
+let slot_of lay id =
+  let a = ref 0 and b = ref (Array.length lay.ids) in
+  while !a < !b do
+    let mid = (!a + !b) lsr 1 in
+    if lay.ids.(mid) < id then a := mid + 1 else b := mid
+  done;
+  if !a < Array.length lay.ids && lay.ids.(!a) = id then lay.by_id.(!a) else -1
+
+let pending_index t id =
+  if t.npending = 0 then -1 else match Ids.find t.pids id with i -> i | exception Not_found -> -1
 
 let find t id =
-  match Hashtbl.find t.ids id with
-  | s -> Some t.byc.nodes.(s).task
-  | exception Not_found -> None
+  let s = slot_of t.lay id in
+  if s >= 0 && Bytes.get t.state s <> dead then Some t.lay.tasks.(s)
+  else
+    let i = pending_index t id in
+    if i >= 0 then Some t.pending.(i) else None
 
-let new_slot t =
-  match t.free with
-  | s :: rest ->
-      t.free <- rest;
-      s
-  | [] ->
-      if t.next = Array.length t.byc.nodes then
-        List.iter
-          (fun tr ->
-            let grown = Array.make (2 * t.next) empty in
-            Array.blit tr.nodes 0 grown 0 t.next;
-            tr.nodes <- grown)
-          [ t.byc; t.bym ];
-      t.next <- t.next + 1;
-      t.next - 1
+let duplicate target id =
+  invalid_arg
+    (Printf.sprintf "Candidates.%s: duplicate task id %d"
+       (if target = live then "add" else "reserve")
+       id)
 
-let add t (task : Task.t) =
-  if Hashtbl.mem t.ids task.Task.id then
-    invalid_arg (Printf.sprintf "Candidates.add: duplicate task id %d" task.Task.id);
-  let s = new_slot t in
-  let acc = Task.acceleration task in
-  t.byc.nodes.(s) <- node task acc;
-  t.bym.nodes.(s) <- node task acc;
-  Hashtbl.add t.ids task.Task.id s;
-  t.pending <- s :: t.pending;
-  t.npending <- t.npending + 1;
-  t.n <- t.n + 1
+(* Make [task] live or dormant ([target]). *)
+let enter t (task : Task.t) target =
+  let id = task.Task.id in
+  let s = slot_of t.lay id in
+  let known = s >= 0 && t.lay.tasks.(s) == task in
+  let cur = if s >= 0 then Bytes.get t.state s else dead in
+  let i = if cur = dead then pending_index t id else -1 in
+  if cur = dormant && known && target = live then begin
+    (* the reserved task arrives *)
+    Bytes.set t.state s live;
+    set_live t s true;
+    t.live <- t.live + 1
+  end
+  else if cur <> dead then duplicate target id
+  else if i >= 0 then begin
+    (* only a pending reserved task may arrive *)
+    if not (target = live && t.pending.(i) == task && Bytes.get t.pstate i = dormant) then
+      duplicate target id;
+    Bytes.set t.pstate i live;
+    t.live <- t.live + 1
+  end
+  else begin
+    if known then begin
+      (* a removed task comes back *)
+      Bytes.set t.state s target;
+      if target = live then set_live t s true
+    end
+    else begin
+      Ids.add t.pids id t.npending;
+      push t task target
+    end;
+    if target = live then t.live <- t.live + 1
+  end
+
+let add t task = enter t task live
+let reserve t task = enter t task dormant
 
 let remove t (task : Task.t) =
-  match Hashtbl.find t.ids task.Task.id with
-  | exception Not_found ->
-      invalid_arg (Printf.sprintf "Candidates.remove: unknown task id %d" task.Task.id)
-  | s ->
-      flush t;
-      Hashtbl.remove t.ids task.Task.id;
-      t.byc.root <- delete t.byc s t.byc.root;
-      t.bym.root <- delete t.bym s t.bym.root;
-      t.byc.nodes.(s) <- empty;
-      t.bym.nodes.(s) <- empty;
-      t.free <- s :: t.free;
-      t.n <- t.n - 1
+  let id = task.Task.id in
+  if pending_index t id >= 0 then rebuild t;
+  let s = slot_of t.lay id in
+  if s < 0 || Bytes.get t.state s = dead then
+    invalid_arg (Printf.sprintf "Candidates.remove: unknown task id %d" id);
+  if Bytes.get t.state s = live then begin
+    set_live t s false;
+    t.live <- t.live - 1
+  end;
+  Bytes.set t.state s dead
 
-(* The remaining searches run on the (comm, id) tree and are only needed
-   when the minimum-idle prefix excludes some fitting task (a "binding"
-   filter, see [select]). A query carries the fit test and the idle
-   bound; [eligible] is downward-closed in comm. The tests take slots,
-   not floats, so that no float is boxed on the way down. *)
-type query = { used : float; kcap : float; now : float; cpu_free : float; bound : float }
+(* Searches of cm (and ca) below node k, which covers the (comm, id)
+   positions [lo, lo + w). A position is fitting iff its (mem, id)
+   position is below [kfit]; a non-live one holds [max_int], so never. *)
 
-let idle ~now ~cpu_free c = Float.max 0.0 (now +. c -. cpu_free)
-let fits ns q s = q.used +. ns.(s).mem <= q.kcap
-let eligible ns q s = Float.max 0.0 (q.now +. ns.(s).comm -. q.cpu_free) <= q.bound
-
-(* Rightmost fitting slot of a subtree, or [nil]; the least aggregate
-   prunes fully-unfitting subtrees, so a descent into a child either
-   fails in O(1) or is guaranteed to succeed. *)
-let rec last_fitting ns q i =
-  if i = nil || not (fits ns q ns.(i).least) then nil
+(* The last fitting position before [e], or -1. *)
+let rec last_fitting cm kfit e k lo w =
+  if lo >= e || cm.(k) >= kfit then -1
+  else if w = 1 then lo
   else
-    let x = last_fitting ns q ns.(i).r in
-    if x <> nil then x else if fits ns q i then i else last_fitting ns q ns.(i).l
+    let h = w / 2 in
+    let x = last_fitting cm kfit e ((2 * k) + 1) (lo + h) h in
+    if x >= 0 then x else last_fitting cm kfit e (2 * k) lo h
 
-(* Rightmost eligible fitting slot: if a node is eligible, so is its
-   whole left subtree. *)
-let rec last_eligible ns q i =
-  if i = nil then nil
-  else if not (eligible ns q i) then last_eligible ns q ns.(i).l
+(* The first fitting position at or after [g], or -1. *)
+let rec first_fitting cm kfit g k lo w =
+  if lo + w <= g || cm.(k) >= kfit then -1
+  else if w = 1 then lo
   else
-    let x = last_eligible ns q ns.(i).r in
-    if x <> nil then x else if fits ns q i then i else last_fitting ns q ns.(i).l
+    let h = w / 2 in
+    let x = first_fitting cm kfit g (2 * k) lo h in
+    if x >= 0 then x else first_fitting cm kfit g ((2 * k) + 1) (lo + h) h
 
-(* Leftmost (smallest-id) fitting slot whose comm equals [w]'s. *)
-let rec first_in_group ns q w i =
-  if i = nil then nil
+(* The least MAMR rank of the fitting positions before [e], or [cur] if
+   none is less, pruning the subtrees that cannot fit or cannot beat it:
+   exhaustive over the eligible region in the worst case. *)
+let rec best_fitting cm ca kfit e k lo w cur =
+  if lo >= e || cm.(k) >= kfit || ca.(k) >= cur then cur
+  else if w = 1 then ca.(k)
   else
-    let o = Float.compare ns.(i).comm ns.(w).comm in
-    if o < 0 then first_in_group ns q w ns.(i).r
-    else if o > 0 then first_in_group ns q w ns.(i).l
-    else
-      let x = first_in_group ns q w ns.(i).l in
-      if x <> nil then x else if fits ns q i then i else first_in_group ns q w ns.(i).r
+    let h = w / 2 in
+    best_fitting cm ca kfit e ((2 * k) + 1) (lo + h) h (best_fitting cm ca kfit e (2 * k) lo h cur)
 
-(* Best (acceleration desc, id asc) eligible fitting slot, or [cur] when
-   none beats it, pruning subtrees that cannot fit or cannot beat the
-   incumbent. Exhaustive over the eligible region in the worst case —
-   but the region is only searched when the filter is binding, which
-   requires the CPU to free up before the longest fitting transfer
-   completes. *)
-let rec best_eligible ns q i cur =
-  if i = nil || not (fits ns q ns.(i).least) then cur
-  else if cur <> nil && not (better ns ns.(i).best cur) then cur
-  else if not (eligible ns q i) then best_eligible ns q ns.(i).l cur
-  else
-    let cur = if fits ns q i then pick_best ns cur i else cur in
-    let cur = best_eligible ns q ns.(i).l cur in
-    best_eligible ns q ns.(i).r cur
+(* The least MAMR rank of tm's first [kfit] positions. *)
+let prefix_min tm leaves kfit =
+  if kfit = leaves then tm.(1)
+  else begin
+    (* the prefix starts at leaf 0: only right boundaries contribute *)
+    let b = ref (leaves + kfit) and m = ref max_int in
+    while !b > 1 do
+      if !b land 1 = 1 then m := imin !m tm.(!b - 1);
+      b := !b lsr 1
+    done;
+    !m
+  end
+
+(* The slot of the criterion's winner among the fitting tasks at (comm,
+   id) positions before [e]; [lo], the first fitting position, is one. *)
+let winner t crit kfit lo e =
+  let lay = t.lay and leaves = t.lay.leaves in
+  match crit with
+  | SCMR -> lay.by_comm.(lo)
+  | LCMR ->
+      (* the largest fitting comm, then its fitting task of least id: the
+         first fitting position of its comm group *)
+      let w = last_fitting t.cm kfit e 1 0 leaves in
+      let a = ref lo and b = ref w in
+      while !a < !b do
+        let mid = (!a + !b) lsr 1 in
+        if lay.comms.(mid) < lay.comms.(w) then a := mid + 1 else b := mid
+      done;
+      lay.by_comm.(first_fitting t.cm kfit !a 1 0 leaves)
+  | MAMR ->
+      if first_fitting t.cm kfit e 1 0 leaves < 0 then
+        (* every fitting task is before e *)
+        lay.by_mamr.(prefix_min t.tm leaves kfit)
+      else lay.by_mamr.(best_fitting t.cm t.ca kfit e 1 0 leaves max_int)
+
+let[@inline] idle ~now ~cpu_free c = Float.max 0.0 (now +. c -. cpu_free)
 
 let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) t crit ~used ~kcap
     ~cpu_free ~now =
-  flush t;
-  (* aggregates of the fitting prefix of the (mem, id) tree *)
-  let ns = t.bym.nodes in
-  let lo = ref nil and hi = ref nil and best = ref nil in
-  let i = ref t.bym.root in
-  while !i <> nil do
-    let n = ns.(!i) in
-    if used +. n.mem <= kcap then begin
-      (* n fits, hence its whole left subtree (smaller mem) does too *)
-      if n.l <> nil then begin
-        let l = ns.(n.l) in
-        lo := pick_lo ns !lo l.lo;
-        hi := pick_hi ns !hi l.hi;
-        best := pick_best ns !best l.best
-      end;
-      lo := pick_lo ns !lo !i;
-      hi := pick_hi ns !hi !i;
-      best := pick_best ns !best !i;
-      i := n.r
-    end
-    else i := n.l
+  if t.npending > 0 then rebuild t;
+  let lay = t.lay in
+  let n = Array.length lay.tasks in
+  (* the fitting prefix: used +. mem <= kcap is monotone in mem *)
+  let a = ref 0 and b = ref n in
+  while !a < !b do
+    let mid = (!a + !b) lsr 1 in
+    if used +. lay.mems.(mid) <= kcap then a := mid + 1 else b := mid
   done;
-  let lo = !lo in
-  let winner = match crit with SCMR -> lo | LCMR -> !hi | MAMR -> !best in
-  if lo = nil then None
-  else if not min_idle_filter then Some ns.(winner).task
+  let kfit = !a in
+  let lo = first_fitting t.cm kfit 0 1 0 lay.leaves in
+  if lo < 0 then None
+  else if not min_idle_filter then Some lay.tasks.(winner t crit kfit lo n)
   else
     (* the exact expressions of the original list scan, so that the
-       1e-12 idle tolerance resolves bit-identically; lo attains the
-       least idle time of the fitting tasks, the floor stands for tasks
-       outside the index *)
-    let least_idle = idle ~now ~cpu_free ns.(lo).comm in
+       1e-12 idle tolerance resolves bit-identically; lo attains the least
+       idle time of the fitting tasks, the floor stands for tasks outside
+       the index *)
+    let least_idle = idle ~now ~cpu_free lay.comms.(lo) in
     let bound = Float.min least_idle idle_floor +. 1e-12 in
     if not (least_idle <= bound) then None (* the floor excludes every fitting task *)
-    else if idle ~now ~cpu_free ns.(!hi).comm <= bound then
-      (* idle is monotone in comm: the largest fitting comm is eligible,
-         hence every fitting task is and the filter is a no-op *)
-      Some ns.(winner).task
-    else
-      (* the eligible set is a strict comm-prefix *)
-      let q = { used; kcap; now; cpu_free; bound } in
-      let cs = t.byc.nodes in
-      match crit with
-      | SCMR ->
-          (* minimum comm, then minimum id: attains the minimum idle
-             time, hence always eligible *)
-          Some ns.(lo).task
-      | LCMR ->
-          let w = last_eligible cs q t.byc.root in
-          assert (w <> nil) (* lo itself is eligible and fitting *);
-          Some cs.(first_in_group cs q w t.byc.root).task
-      | MAMR -> Some cs.(best_eligible cs q t.byc.root nil).task
+    else begin
+      (* idle is monotone in comm: the eligible tasks are a (comm, id)
+         prefix, of which lo is a member *)
+      let a = ref (lo + 1) and b = ref n in
+      while !a < !b do
+        let mid = (!a + !b) lsr 1 in
+        if idle ~now ~cpu_free lay.comms.(mid) <= bound then a := mid + 1 else b := mid
+      done;
+      Some lay.tasks.(winner t crit kfit lo !a)
+    end

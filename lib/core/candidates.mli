@@ -3,54 +3,57 @@
     The heuristics of Sections 4.2–4.3 repeatedly answer the same query:
     among the unscheduled tasks that fit in the free memory right now,
     which one does the active criterion pick once the minimum-idle filter
-    has been applied? The original implementations re-filtered and
-    re-scanned the whole remaining list at every decision — O(n) per
-    step, O(n²) per run. This index answers the query in O(log n)
-    without ever reorganising itself as the memory level fluctuates:
+    has been applied? The original implementations re-scanned the whole
+    remaining list at every decision, O(n²) per run. This index answers
+    in O(log n) without reorganising itself as the memory level moves.
 
-    - the tasks are held in two balanced trees, keyed by [(comm, id)]
-      and by [(mem, id)], whose nodes carry subtree aggregates: the
-      argmin of [(comm, id)] (the SCMR winner), the argmax of comm with
-      ties to the lower id (the LCMR winner), the argmax of
-      (acceleration desc, id asc) (the MAMR winner), and the minimum
-      memory requirement;
-    - the fits-now test [used +. mem <= kcap] is monotone in [mem], so
-      the fitting set is a {e prefix} of the [(mem, id)] tree: one
-      descent accumulates the aggregates of exactly the fitting tasks.
-      Because the boundary is implicit, a memory level that swings with
-      every schedule/release event costs nothing — an earlier design
-      that physically partitioned tasks into fits/blocked sets moved
-      Θ(n) tasks per event on memory-saturated instances;
-    - the minimum-idle filter keeps the tasks whose idle time
-      [max 0 (now + comm - cpu_free)] is within [1e-12] of the minimum.
-      Idle time is monotone in [comm], so the eligible set is a
-      comm-prefix; it only {e binds} (excludes some fitting task) when
-      the CPU frees up before the longest fitting transfer completes.
-      When it does not bind, the prefix aggregates already answer every
-      criterion; when it does, LCMR resolves with O(log² n) boundary
-      descents of the [(comm, id)] tree and MAMR with a pruned search of
-      the eligible region. On the paper's workload the filter binds
-      almost always: over the 150 HF process traces (default seed,
-      capacity 1.5 m_c) on 107,669 of 108,345 LCMR decisions (99.4%)
-      and 107,517 of 108,345 MAMR decisions, and on 31,382 of the
-      32,716 [select] calls of OOLCMR (95.9%);
-    - the trees are mutated in place (no path copying), and [add] is
-      deferred: the task is checked and recorded at once, so [find] and
-      [size] see it, but it enters the trees when the next [select] or
-      [remove] flushes the pending tasks. A flush rebuilds both trees
-      perfectly balanced from the union sorted under each order when the
-      pending tasks are at least as many as the indexed ones, and
-      inserts them one by one otherwise, so an [add] costs O(log n)
-      amortized. The offline rules, a served session's [SUBMIT]s before
-      its [DRAIN], and {!Cached_rules}' initial load take the rebuild;
-      online arrivals between decisions take the inserts. No operation
-      copies a node: besides its result, a [select] allocates at most
-      a dozen words, however large the index.
+    {b Layout.} An immutable layout holds the tasks known at the last
+    rebuild, sorted once by [(mem, id)], by [(comm, id)] and by
+    (acceleration desc, id); each criterion's tie order is an int rank,
+    and ids are found by binary search.
+
+    {b State.} Per index, a live, dormant or dead byte per task and
+    implicit segment trees over the two first orders, whose aggregates
+    are int minima over the live tasks. The fits-now test
+    [used +. mem <= kcap] is monotone in [mem], so the fitting tasks are
+    a prefix of the [(mem, id)] order, found by binary search: the
+    boundary is implicit, and a memory level that swings with every
+    event costs nothing. The minimum-idle filter keeps the tasks whose
+    idle time [max 0 (now + comm - cpu_free)] is within [1e-12] of the
+    least; idle time is monotone in [comm], so they are a prefix of the
+    [(comm, id)] order. SCMR and LCMR take O(log n) descents; MAMR a
+    prefix minimum, or, when the filter {e binds} (excludes a fitting
+    task), a pruned search of the eligible region. On the paper's
+    workload it binds almost always: over the 150 HF traces (default
+    seed, capacity 1.5 m_c) on 99.4% of 108,345 LCMR decisions and on
+    95.9% of OOLCMR's [select] calls. Removing, reviving or arriving a
+    task the layout holds writes its leaves and their root paths:
+    O(log n), no allocation.
+
+    {b Dormant tasks.} {!reserve} makes a task known but not selectable;
+    {!add} later makes it live in O(log n). A loop that knows its future
+    arrivals reserves them, so that an arrival costs no rebuild.
+
+    {b Rebuilds.} A task the layout does not hold waits, pending, until
+    the next {!select} or {!remove} lays out the pending tasks and the
+    live and dormant ones; {!find} and {!size} see it at once. A rebuild
+    reuses the layout last built on the calling domain when it lays out
+    physically the same task sequence, in O(n); otherwise it sorts, in
+    O(n log n). So the six indexed rules of a portfolio
+    ({!Auto.best_on}), like the six configurations of {!Cached_rules},
+    sort an instance once. Only never-seen tasks wait for a rebuild: an
+    offline run's initial load, a served session's [SUBMIT]s before its
+    [DRAIN].
+
+    {b Arrays.} {!release} hands the index's arrays to the next
+    {!create} on the same domain, so that a sequence of runs allocates
+    them once.
 
     Every comparison uses the exact float expressions of the original
-    list scans and of {!Sim.fits_now}, so selections are bit-identical
-    to them (property-tested against a frozen copy, and against a
-    task-list model over random add/remove/select interleavings). *)
+    list scans and of {!Sim.fits_now}, and each criterion's (key, id)
+    order is total, so selections are bit-identical to them
+    (property-tested against a frozen copy, and against a task-list
+    model over random add/reserve/remove/select interleavings). *)
 
 type t
 
@@ -62,23 +65,34 @@ type criterion =
   | MAMR  (** maximum acceleration, i.e. ratio computation/communication *)
 
 val create : unit -> t
-(** An empty index. *)
+(** An empty index, on the arrays of the last index {!release}d on this
+    domain if there is one. *)
+
+val release : t -> unit
+(** Hand the index's arrays to the next {!create} on this domain. The
+    index must not be used afterwards. *)
 
 val size : t -> int
-(** Number of tasks in the index. *)
+(** Number of live tasks. *)
 
 val find : t -> int -> Task.t option
-(** The task with this id in the index, if any. *)
+(** The live or dormant task with this id, if any. *)
 
 val add : t -> Task.t -> unit
-(** Add a task, in O(log n) amortized: it is pending until the next
-    [select] or [remove] (see the flush rule above). Raises
+(** Make a task live: a dormant or removed task the layout holds in
+    O(log n), any other task pending until the next rebuild. Raises
     [Invalid_argument "Candidates.add: duplicate task id <id>"] at once
-    when a task with the same id is already present, pending or not. *)
+    when a live task, or a dormant task other than this one, has its id. *)
+
+val reserve : t -> Task.t -> unit
+(** Make a task dormant: known to the index, so that {!add} makes it
+    live in O(log n), but never selected before. Raises
+    [Invalid_argument "Candidates.reserve: duplicate task id <id>"] when a
+    live or dormant task has its id. *)
 
 val remove : t -> Task.t -> unit
-(** Remove the task with this task's id, after flushing the pending
-    tasks; O(log n) besides the flush. Raises
+(** Remove the live or dormant task with this task's id; O(log n),
+    after a rebuild if that task is pending. Raises
     [Invalid_argument "Candidates.remove: unknown task id <id>"] when no
     task with its id is present. *)
 
@@ -92,17 +106,16 @@ val select :
   cpu_free:float ->
   now:float ->
   Task.t option
-(** One decision of the dynamic heuristics. Among the tasks that fit
-    under [used +. mem <= kcap] (with [kcap] the tolerance-adjusted
+(** One decision of the dynamic heuristics. Among the live tasks that
+    fit under [used +. mem <= kcap] (with [kcap] the tolerance-adjusted
     capacity [capacity *. (1. +. 1e-12)], precomputed by the caller so
     the test is the exact expression of {!Sim.fits_now}), keep those
     whose communication, started at [now], induces the least idle time
     [max 0 (now + comm - cpu_free)] on the processing unit (within
     [1e-12]; skipped when [min_idle_filter] is [false], default [true]),
-    then apply the criterion, ties by smaller id. Flushes the pending
-    tasks first; then O(log n) when the minimum-idle filter does not
-    bind (always, for SCMR and with the filter off). [None] iff no task
-    fits.
+    then apply the criterion, ties by smaller id. Rebuilds first if a
+    task is pending; then O(log n), but for MAMR when the filter binds.
+    [None] iff no live task fits.
 
     [idle_floor] (default [infinity], ignored with the filter off) is
     the least idle time of candidates held {e outside} the index, so

@@ -11,8 +11,7 @@ type t = {
      A task a correction schedules out of turn stays in place and is
      dropped when it reaches the top. *)
   order : Task.t Iheap.t option;
-  future : waiting Iheap.t; (* added, not yet arrived, by arrival *)
-  future_ids : (int, unit) Hashtbl.t; (* ids in [future] *)
+  future : waiting Iheap.t; (* added, not yet arrived (dormant), by arrival *)
 }
 
 let create ?(state = Sim.initial_state ()) ?min_idle_filter ?static ~capacity crit =
@@ -25,10 +24,9 @@ let create ?(state = Sim.initial_state ()) ?min_idle_filter ?static ~capacity cr
     cand = Candidates.create ();
     order = Option.map (fun cmp -> Iheap.create ~cmp) static;
     future = Iheap.create ~cmp:(fun a b -> Float.compare a.arrival b.arrival);
-    future_ids = Hashtbl.create 16;
   }
 
-let mem g id = Option.is_some (Candidates.find g.cand id) || Hashtbl.mem g.future_ids id
+let mem g id = Option.is_some (Candidates.find g.cand id)
 
 let arrive g task =
   Candidates.add g.cand task;
@@ -37,7 +35,7 @@ let arrive g task =
 let add g ~arrival (task : Task.t) =
   if arrival <= Sim.link_free_time g.st then arrive g task
   else begin
-    Hashtbl.replace g.future_ids task.Task.id ();
+    Candidates.reserve g.cand task;
     Iheap.add g.future { arrival; task }
   end
 
@@ -45,7 +43,6 @@ let rec promote g =
   match Iheap.peek g.future with
   | Some w when w.arrival <= Sim.link_free_time g.st ->
       ignore (Iheap.pop g.future);
-      Hashtbl.remove g.future_ids w.task.Task.id;
       arrive g w.task;
       promote g
   | _ -> ()
@@ -121,4 +118,6 @@ let run ~who ?state ?min_idle_filter ?static ~capacity crit tasks =
     tasks;
   let g = create ?state ?min_idle_filter ?static ~capacity crit in
   List.iter (add g ~arrival:0.0) tasks;
-  Schedule.make ~capacity (drain g)
+  let entries = drain g in
+  Candidates.release g.cand;
+  Schedule.make ~capacity entries

@@ -35,10 +35,11 @@ val mem : t -> int -> bool
 
 val add : t -> arrival:float -> Task.t -> unit
 (** Add a task that becomes selectable once the link-free instant
-    reaches [arrival]. The task must fit the capacity alone. Raises
-    [Invalid_argument "Candidates.add: duplicate task id <id>"] when a
-    task with its id has already arrived and is not yet scheduled; the
-    caller checks {!mem} to reject a duplicate whose arrival is later. *)
+    reaches [arrival]; until then it is reserved in the index
+    ({!Candidates.reserve}), so that its arrival costs O(log n). The task
+    must fit the capacity alone. Raises [Invalid_argument] ("Candidates.add:
+    duplicate task id <id>", or "Candidates.reserve: ..." for a later
+    arrival) when a task with its id is pending; {!mem} tells first. *)
 
 val drain : t -> Schedule.entry list
 (** Schedule every pending task and return the new entries in

@@ -240,11 +240,13 @@ let cached_prop criterion filter =
         Residency.all_policies)
 
 (* The candidate index against a task-list model, over random
-   interleavings of add batches (ids reused after removal), removes and
+   interleavings of add and reserve batches (ids reused after removal),
+   arrivals of reserved tasks, re-adds of removed tasks, removes and
    selections under every criterion, filter on and off, with and without
    an idle floor. The model's selection is the frozen list scan over the
-   fitting tasks, after the floor rule of candidates.mli: with the filter
-   on, tasks idle beyond [Float.min least floor +. 1e-12] drop out. *)
+   fitting live tasks, after the floor rule of candidates.mli: with the
+   filter on, tasks idle beyond [Float.min least floor +. 1e-12] drop
+   out. *)
 type spec = { s_comm : float; s_comp : float; s_mem : float }
 
 type query = {
@@ -259,6 +261,9 @@ type query = {
 
 type op =
   | Add of spec list (* a batch, given the smallest absent ids *)
+  | Reserve of spec list (* likewise, dormant *)
+  | Arrive of int (* add the k-th dormant task *)
+  | Readd of int (* add the k-th removed task again *)
   | Add_present of int (* a copy of the k-th present task: must raise *)
   | Remove of int (* the k-th present task *)
   | Remove_absent
@@ -272,6 +277,7 @@ let op_gen =
       let* s_comm = quarter 24 and* s_comp = quarter 24 and* s_mem = quarter 40 in
       return { s_comm; s_comp; s_mem = Float.max 0.25 s_mem }
     in
+    let batch = list_size (oneof [ int_range 1 3; int_range 4 16 ]) spec in
     let query =
       let* crit = oneofl Dynamic_rules.all
       and* filter = bool
@@ -284,7 +290,10 @@ let op_gen =
     in
     frequency
       [
-        (3, map (fun b -> Add b) (list_size (oneof [ int_range 1 3; int_range 4 16 ]) spec));
+        (3, map (fun b -> Add b) batch);
+        (2, map (fun b -> Reserve b) batch);
+        (2, map (fun k -> Arrive k) nat);
+        (2, map (fun k -> Readd k) nat);
         (1, map (fun k -> Add_present k) nat);
         (4, map (fun k -> Remove k) nat);
         (1, return Remove_absent);
@@ -292,10 +301,13 @@ let op_gen =
       ])
 
 let op_print = function
-  | Add b ->
-      Printf.sprintf "Add [%s]"
+  | (Add b | Reserve b) as op ->
+      Printf.sprintf "%s [%s]"
+        (match op with Add _ -> "Add" | _ -> "Reserve")
         (String.concat "; "
            (List.map (fun s -> Printf.sprintf "(%g, %g, %g)" s.s_comm s.s_comp s.s_mem) b))
+  | Arrive k -> Printf.sprintf "Arrive %d" k
+  | Readd k -> Printf.sprintf "Readd %d" k
   | Add_present k -> Printf.sprintf "Add_present %d" k
   | Remove k -> Printf.sprintf "Remove %d" k
   | Remove_absent -> "Remove_absent"
@@ -305,8 +317,8 @@ let op_print = function
         (match q.floor with Some f -> Printf.sprintf "%g" f | None -> "-")
         q.used q.kcap q.cpu_free q.now
 
-let model_select present q =
-  let fitting = List.filter (fun (t : Task.t) -> q.used +. t.Task.mem <= q.kcap) present in
+let model_select live q =
+  let fitting = List.filter (fun (t : Task.t) -> q.used +. t.Task.mem <= q.kcap) live in
   let fitting =
     match q.floor with
     | Some floor when q.filter ->
@@ -318,95 +330,200 @@ let model_select present q =
   Reference.Dyn.select ~min_idle_filter:q.filter q.crit ~cpu_free:q.cpu_free ~now:q.now
     fitting
 
-(* Runs [ops] on an index and on the model; [flushes] counts, by the
-   deferred-add flush case (0 rebuild into an empty index, 1 rebuild into
-   a non-empty one, 2 one-by-one inserts), the operations that flushed. *)
-let index_matches_model flushes ops =
+(* The index paths the model test must reach, counted in [cases]. *)
+let index_cases =
+  [|
+    "rebuild into an empty index";
+    "rebuild over live tasks";
+    "rebuild over dormant tasks";
+    "re-add of a removed task";
+    "arrival of a reserved task";
+  |]
+
+(* Runs [ops] on an index and on the model. Besides the live and dormant
+   tasks, the model tracks the layout (the tasks present at the last
+   rebuild: adding one of them again takes no rebuild) and the pending
+   tasks (the others, added since), so that it can count in [cases] the
+   index paths the operations took. *)
+let index_matches_model cases ops =
   let idx = Candidates.create () in
-  let present = ref [] and next_absent = ref 1_000_000 in
-  let indexed = ref 0 and pending = ref 0 in
-  let flush () =
-    if !pending > 0 then begin
-      let case = if !indexed = 0 then 0 else if !pending >= !indexed then 1 else 2 in
-      flushes.(case) <- flushes.(case) + 1;
-      indexed := !indexed + !pending;
-      pending := 0
+  let live = ref [] and dormant = ref [] and removed = ref [] in
+  let laid = ref [] and pending = ref [] in
+  let next_absent = ref 1_000_000 in
+  let hit case = cases.(case) <- cases.(case) + 1 in
+  let rebuild () =
+    if !pending <> [] then begin
+      let members l = List.exists (fun t -> not (List.memq t !pending)) l in
+      if not (members !live || members !dormant) then hit 0;
+      if members !live then hit 1;
+      if members !dormant then hit 2;
+      laid := !live @ !dormant;
+      pending := []
     end
   in
-  let nth k = List.nth !present (k mod List.length !present) in
+  let present () = !live @ !dormant in
+  let taken id = List.exists (fun (t : Task.t) -> t.Task.id = id) (present ()) in
+  let nth k l = List.nth l (k mod List.length l) in
   let raises msg f =
     match f () with
     | () -> QCheck2.Test.fail_reportf "no exception, expected %s" msg
     | exception Invalid_argument m when m = msg -> ()
   in
+  let enter set t =
+    if not (List.memq t !laid) then pending := t :: !pending;
+    set := t :: !set
+  in
   let step op =
     (match op with
-    | Add batch ->
-        let taken id = List.exists (fun (t : Task.t) -> t.Task.id = id) !present in
+    | Add batch | Reserve batch ->
         List.iter
           (fun s ->
             let id = ref 0 in
             while taken !id do incr id done;
             let t = Task.make ~id:!id ~comm:s.s_comm ~comp:s.s_comp ~mem:s.s_mem () in
-            Candidates.add idx t;
-            present := t :: !present;
-            incr pending)
+            match op with
+            | Add _ ->
+                Candidates.add idx t;
+                enter live t
+            | _ ->
+                Candidates.reserve idx t;
+                enter dormant t)
           batch
-    | Add_present k when !present <> [] ->
-        let t = nth k in
+    | Arrive k when !dormant <> [] ->
+        let t = nth k !dormant in
+        Candidates.add idx t;
+        if List.memq t !laid then hit 4;
+        dormant := List.filter (fun u -> u != t) !dormant;
+        live := t :: !live
+    | Readd k when !removed <> [] ->
+        let t = nth k !removed in
+        if taken t.Task.id then
+          raises (Printf.sprintf "Candidates.add: duplicate task id %d" t.Task.id) (fun () ->
+              Candidates.add idx t)
+        else begin
+          Candidates.add idx t;
+          if List.memq t !laid then hit 3;
+          removed := List.filter (fun u -> u != t) !removed;
+          enter live t
+        end
+    | Add_present k when present () <> [] ->
+        let t = nth k (present ()) in
+        let copy = Task.make ~id:t.Task.id ~comm:(t.Task.comm +. 1.0) ~comp:t.Task.comp () in
         raises (Printf.sprintf "Candidates.add: duplicate task id %d" t.Task.id) (fun () ->
-            Candidates.add idx
-              (Task.make ~id:t.Task.id ~comm:(t.Task.comm +. 1.0) ~comp:t.Task.comp ()))
-    | Remove k when !present <> [] ->
-        let t = nth k in
-        flush ();
+            Candidates.add idx copy);
+        raises (Printf.sprintf "Candidates.reserve: duplicate task id %d" t.Task.id)
+          (fun () -> Candidates.reserve idx copy)
+    | Remove k when present () <> [] ->
+        let t = nth k (present ()) in
+        if List.memq t !pending then rebuild ();
         Candidates.remove idx t;
-        present := List.filter (fun u -> u != t) !present;
-        decr indexed
+        live := List.filter (fun u -> u != t) !live;
+        dormant := List.filter (fun u -> u != t) !dormant;
+        removed := t :: !removed
     | Remove_absent ->
         incr next_absent;
         raises (Printf.sprintf "Candidates.remove: unknown task id %d" !next_absent)
           (fun () ->
             Candidates.remove idx (Task.make ~id:!next_absent ~comm:1.0 ~comp:1.0 ()))
     | Select q ->
-        flush ();
+        rebuild ();
         let got =
           Candidates.select ~min_idle_filter:q.filter ?idle_floor:q.floor idx q.crit
             ~used:q.used ~kcap:q.kcap ~cpu_free:q.cpu_free ~now:q.now
-        and want = model_select !present q in
+        and want = model_select !live q in
         if not (Option.equal ( == ) got want) then
           QCheck2.Test.fail_reportf "%s: index chose %s, model %s" (op_print op)
             (match got with Some t -> string_of_int t.Task.id | None -> "none")
             (match want with Some t -> string_of_int t.Task.id | None -> "none")
-    | Add_present _ | Remove _ -> ());
-    let top = List.fold_left (fun a (t : Task.t) -> max a t.Task.id) 0 !present in
-    Candidates.size idx = List.length !present
+    | Arrive _ | Readd _ | Add_present _ | Remove _ -> ());
+    let top = List.fold_left (fun a (t : Task.t) -> max a t.Task.id) 0 (present ()) in
+    Candidates.size idx = List.length !live
     && List.for_all
          (fun id ->
            Option.equal ( == ) (Candidates.find idx id)
-             (List.find_opt (fun (t : Task.t) -> t.Task.id = id) !present))
+             (List.find_opt (fun (t : Task.t) -> t.Task.id = id) (present ())))
          (List.init (top + 2) Fun.id)
   in
-  List.for_all step ops
+  let ok = List.for_all step ops in
+  Candidates.release idx;
+  ok
 
 let candidates_model =
-  let flushes = Array.make 3 0 in
+  let cases = Array.make (Array.length index_cases) 0 in
   let name, speed, run =
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:500 ~name:"Candidates = task-list model, every flush case"
+      (QCheck2.Test.make ~count:500 ~name:"Candidates = task-list model, every index path"
          ~print:(fun ops -> String.concat "\n" (List.map op_print ops))
          QCheck2.Gen.(list_size (int_range 1 80) op_gen)
-         (index_matches_model flushes))
+         (index_matches_model cases))
   in
   ( name,
     speed,
     fun () ->
       run ();
-      List.iteri
-        (fun case what ->
-          Alcotest.(check bool) (what ^ " reached") true (flushes.(case) > 0))
-        [ "rebuild into an empty index"; "rebuild into a non-empty index"; "one-by-one inserts" ]
-  )
+      Array.iteri
+        (fun case what -> Alcotest.(check bool) (what ^ " reached") true (cases.(case) > 0))
+        index_cases )
+
+(* [Candidates] keeps, per domain, the last layout it built and the
+   arrays of the last index handed back. Neither may show: runs
+   interleaved over several instances on one domain, and a pooled fleet
+   over a shuffled trace set, equal fresh runs, each on a new domain. *)
+let fresh f = Domain.join (Domain.spawn f)
+
+let indexed_runs =
+  List.map (fun c i -> Dynamic_rules.run c i) Dynamic_rules.all
+  @ List.map (fun r i -> Corrected_rules.run r i) Corrected_rules.all
+  @ List.map
+      (fun (policy, c) i -> fst (Cached_rules.run ~policy c i))
+      [ (Residency.Lru, Dynamic_rules.SCMR); (Residency.Min_refetch, Dynamic_rules.MAMR) ]
+
+let memo_invisible =
+  let runs = Array.of_list indexed_runs in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20
+       ~name:"Candidates memo and spare arrays: interleaved runs = fresh runs"
+       ~print:(fun (is, picks) ->
+         Printf.sprintf "%s\npicks [%s]"
+           (String.concat "\n" (List.map Generators.instance_print is))
+           (String.concat "; " (List.map (fun (i, r) -> Printf.sprintf "(%d, %d)" i r) picks)))
+       QCheck2.Gen.(
+         pair
+           (list_size (int_range 2 4) (Generators.tiled_instance_gen ~max_size:40 ()))
+           (list_size (int_range 4 16) (pair nat nat)))
+       (fun (instances, picks) ->
+         let instances = Array.of_list instances in
+         let pick (i, r) = (instances.(i mod Array.length instances), runs.(r mod Array.length runs)) in
+         List.for_all
+           (fun p ->
+             let i, run = pick p in
+             same_schedule (run i) (fresh (fun () -> run i)))
+           picks))
+
+let fleet_invisible () =
+  let traces =
+    Dt_chem.Workload.hf_trace_set ~seed:11 ~cluster:Dt_ga.Cluster.cascade ~nbf:1500 ()
+    |> Dt_trace.Trace.of_task_lists ~prefix:"hf"
+  in
+  let traces = Array.sub traces 0 12 in
+  let rng = Random.State.make [| 21 |] in
+  for k = Array.length traces - 1 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let x = traces.(k) in
+    traces.(k) <- traces.(j);
+    traces.(j) <- x
+  done;
+  let policy = Dt_trace.Fleet.Portfolio Heuristic.all in
+  let pooled =
+    Dt_par.Pool.with_pool ~num_domains:1 (fun pool -> Dt_trace.Fleet.run ~pool policy traces)
+  in
+  Array.iteri
+    (fun k (p : Dt_trace.Fleet.process_outcome) ->
+      let alone = (fresh (fun () -> Dt_trace.Fleet.run policy [| traces.(k) |])).Dt_trace.Fleet.processes.(0) in
+      Alcotest.(check string) "same winner" (Heuristic.name alone.Dt_trace.Fleet.chosen)
+        (Heuristic.name p.Dt_trace.Fleet.chosen);
+      Alcotest.(check (float 0.0)) "same makespan" alone.Dt_trace.Fleet.makespan p.Dt_trace.Fleet.makespan)
+    pooled.Dt_trace.Fleet.processes
 
 let duplicate_order_rejected () =
   let t0 = Task.make ~id:0 ~comm:1.0 ~comp:1.0 ()
@@ -499,5 +616,8 @@ let suite =
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;
         schedule_make_prop;
+        memo_invisible;
+        Alcotest.test_case "Candidates memo and spare arrays: pooled fleet = fresh runs" `Quick
+          fleet_invisible;
       ];
     ]
