@@ -3,7 +3,8 @@
    shows, the makespan of
 
    - each of the 14 portfolio heuristics at 1, 1.5 and 2 m_c;
-   - each of the six Cached_rules configurations at 1.5 m_c;
+   - each of the six Cached_rules configurations at 1.5 m_c, with its
+     cache statistics (hits, misses, evictions, hit and miss comm);
    - an OOSCMR Engine at 1.5 m_c fed spaced arrivals, drained once at
      the end and drained in blocks of 64 submissions.
 
@@ -62,9 +63,11 @@ let () =
         (fun policy ->
           List.iter
             (fun c ->
-              let s, _ = Cached_rules.run ~policy c i in
-              Printf.printf "  1.5 m_c %-17s %h\n" (Cached_rules.name policy c)
-                (Schedule.makespan s))
+              let s, st = Cached_rules.run ~policy c i in
+              Printf.printf "  1.5 m_c %-17s %h hits %d misses %d evictions %d hit_comm %h miss_comm %h\n"
+                (Cached_rules.name policy c) (Schedule.makespan s) st.Residency.hits
+                st.Residency.misses st.Residency.evictions st.Residency.hit_comm
+                st.Residency.miss_comm)
             Dynamic_rules.all)
         Residency.all_policies;
       List.iter
