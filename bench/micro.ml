@@ -208,6 +208,27 @@ let test_candidates_portfolio =
           incr run;
           List.iter replay runs.(!run land 1)))
 
+(* The residency set alone: with r unpinned tiles resident, one run
+   admits a new tile (touch, a miss), unpins it and evicts the policy's
+   victim, so r tiles stay resident. The cached-ccsd pass holds ~160. *)
+let test_residency_evict =
+  Test.make_indexed ~name:"evict" ~args:[ 160; 2_000 ] (fun r ->
+      let res = Dt_core.Residency.create () and next = ref 0 in
+      let admit () =
+        let tile = !next in
+        incr next;
+        ignore (Dt_core.Residency.touch res { Dt_core.Task.tile; t_comm = 1.0; t_mem = 1.0 });
+        Dt_core.Residency.unpin res tile
+      in
+      for _ = 1 to r do
+        admit ()
+      done;
+      Staged.stage (fun () ->
+          admit ();
+          match Dt_core.Residency.evict_candidate res with
+          | Some tile -> Dt_core.Residency.evict res tile
+          | None -> assert false))
+
 let run () =
   Printf.printf "\n== micro: heuristic scheduling cost (bechamel) ==\n\n";
   let tests =
@@ -218,6 +239,7 @@ let run () =
           @ [ test_two_orders; test_local_search ]);
         Test.make_grouped ~name:"candidates"
           [ test_candidates_drain; test_candidates_interleaved; test_candidates_portfolio ];
+        Test.make_grouped ~name:"residency" [ test_residency_evict ];
       ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in

@@ -3,20 +3,23 @@
 
     Each decision is taken on the {e effective} communication time — the
     task's [comm] minus the shares of its currently-resident tiles — and
-    the memory fit test allows on-demand eviction of unpinned tiles
-    ({!Sim.cached_fits_now}), min-idle filtered like
+    the memory fit test allows on-demand eviction of unpinned tiles (see
+    {!Sim.cached_unevictable}), min-idle filtered like
     {!Candidates.select}.
 
     The unscheduled tasks with no resident input tile ("cold") sit in a
     {!Candidates} index, where their effective values are their static
-    ones bit for bit; the others ("warm") are scanned. Scheduling a task
-    warms up the readers of its input and output tiles; a warm task found
-    with no resident input tile returns to the index. A decision costs
-    O(log n) plus the warm set, against O(n) tile lookups for a scan of
-    all remaining tasks, and takes the same decision as that scan
-    (QCheck-pinned against a frozen copy of it). On instances without
-    tile annotations every run is bit-identical to the corresponding
-    {!Dynamic_rules.run} (QCheck-pinned). *)
+    ones bit for bit; the others ("warm") sit in a slot array. Scheduling
+    a task warms up the readers of its input and output tiles; a warm
+    task found with no resident input tile returns to the index. A
+    decision costs O(log n) for the index plus one pass over the warm
+    tasks' input tiles, one {!Residency.pins} lookup per tile and no
+    allocation, against a fit test and an effective comm (up to four
+    table lookups per tile) for every remaining task in a full scan; it
+    takes the same decision as that scan (QCheck-pinned against a frozen
+    copy of it). On instances without tile annotations every run is
+    bit-identical to the corresponding {!Dynamic_rules.run}
+    (QCheck-pinned). *)
 
 val name : Residency.policy -> Dynamic_rules.criterion -> string
 (** E.g. ["SCMR+lru"], ["LCMR+min-refetch"]. *)

@@ -121,10 +121,6 @@ let layout_of tasks =
 
 let empty = layout_of [||]
 
-(* A long-lived filler, so that no task array is seeded with a young
-   block (see DESIGN). *)
-let filler = Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 ()
-
 (* Per domain: the last layout built, which a rebuild over physically the
    same task sequence reuses, and the last index handed back. *)
 let memo = Domain.DLS.new_key (fun () -> empty)
@@ -143,7 +139,7 @@ let create () =
         cm = [||];
         ca = [||];
         live = 0;
-        pending = Array.make 16 filler;
+        pending = Array.make 16 Task.filler;
         pstate = Bytes.make 16 dead;
         npending = 0;
         pids = Ids.create 16;

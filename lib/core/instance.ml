@@ -3,9 +3,16 @@ type t = {
   capacity : float;
 }
 
+(* [Array.of_list] would seed the array with the list's head, a young
+   block when the tasks are fresh: a forced minor collection. *)
+let array_of_tasks tasks =
+  let a = Array.make (List.length tasks) Task.filler in
+  List.iteri (fun i t -> a.(i) <- t) tasks;
+  a
+
 let make ~capacity tasks =
   if capacity <= 0.0 then invalid_arg "Instance.make: capacity must be positive";
-  let tasks = Array.of_list (List.mapi (fun i t -> Task.with_id t i) tasks) in
+  let tasks = array_of_tasks (List.mapi (fun i t -> Task.with_id t i) tasks) in
   { tasks; capacity }
 
 let make_keep_ids ~capacity tasks =
@@ -13,7 +20,7 @@ let make_keep_ids ~capacity tasks =
   let ids = List.map (fun (t : Task.t) -> t.Task.id) tasks in
   if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
     invalid_arg "Instance.make_keep_ids: duplicate task ids";
-  { tasks = Array.of_list tasks; capacity }
+  { tasks = array_of_tasks tasks; capacity }
 
 let of_triples ~capacity pairs =
   let mk i (comm, comp) = Task.make ~id:i ~comm ~comp () in

@@ -12,12 +12,39 @@ let policy_of_name s =
   | "min-refetch" | "minrefetch" | "min_refetch" -> Some Min_refetch
   | _ -> None
 
+(* Tile ids may be sparse (an array's base plus a tile index) and
+   [Hashtbl.Make] picks a bucket from the hash's low bits, so the hash
+   mixes every bit of the id into them (two xor-shift-multiply rounds):
+   ids that differ only in high bits spread like dense ones. *)
+module Tiles = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let x = (x lxor (x lsr 31)) * 0x3C79AC492BA7B653 in
+    let x = (x lxor (x lsr 29)) * 0x1C69B3F74AC4AE35 in
+    x lxor (x lsr 32)
+end)
+
 type entry = {
   e_comm : float; (* refetch cost if evicted and needed again *)
   e_mem : float;
   mutable pins : int;
-  mutable last_use : int;
+  mutable last_use : int; (* a clock value no other resident tile holds *)
 }
+
+(* An eviction candidate as it stood when it was pushed: valid while its
+   tile is resident, unpinned and unused since. *)
+type stamp = { s_tile : int; s_use : int; s_comm : float }
+
+let by_recency a b =
+  let c = Int.compare a.s_use b.s_use in
+  if c <> 0 then c else Int.compare a.s_tile b.s_tile
+
+let by_refetch a b =
+  let c = Float.compare a.s_comm b.s_comm in
+  if c <> 0 then c else by_recency a b
 
 type stats = {
   hits : int;
@@ -30,7 +57,8 @@ type stats = {
 
 type t = {
   policy : policy;
-  table : (int, entry) Hashtbl.t;
+  table : entry Tiles.t;
+  victims : stamp Iheap.t; (* every unpinned resident tile's stamp, and stale ones *)
   mutable resident_bytes : float;
   mutable pinned_bytes : float;
   mutable clock : int;
@@ -45,7 +73,8 @@ type t = {
 let create ?(policy = Lru) () =
   {
     policy;
-    table = Hashtbl.create 64;
+    table = Tiles.create 64;
+    victims = Iheap.create ~cmp:(match policy with Lru -> by_recency | Min_refetch -> by_refetch);
     resident_bytes = 0.0;
     pinned_bytes = 0.0;
     clock = 0;
@@ -60,11 +89,11 @@ let create ?(policy = Lru) () =
 let policy t = t.policy
 let resident_bytes t = t.resident_bytes
 let pinned_bytes t = t.pinned_bytes
-let resident_tiles t = Hashtbl.length t.table
-let is_resident t tile = Hashtbl.mem t.table tile
+let resident_tiles t = Tiles.length t.table
+let is_resident t tile = Tiles.mem t.table tile
 
-let pin_count t tile =
-  match Hashtbl.find_opt t.table tile with Some e -> e.pins | None -> 0
+let pins t tile = match Tiles.find t.table tile with e -> e.pins | exception Not_found -> -1
+let pin_count t tile = Int.max 0 (pins t tile)
 
 let stats t =
   {
@@ -84,6 +113,11 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* [e] just became, or stays, an unpinned resident tile under a new
+   [last_use]: its previous stamp, if any, is stale from now on. *)
+let push_stamp t tile e =
+  Iheap.add t.victims { s_tile = tile; s_use = e.last_use; s_comm = e.e_comm }
+
 (* A tile is one block of memory: every reference to a resident tile
    must carve out the same memory share, or the executor's memory
    accounting (which charges the resident size once and each task's own
@@ -98,7 +132,7 @@ let check_size who (e : entry) (r : Task.tile_ref) =
    new memory); an absent one is a miss — it is admitted resident and
    charged to the cache. Either way the tile is pinned until {!unpin}. *)
 let touch t (r : Task.tile_ref) =
-  let found = Hashtbl.find_opt t.table r.Task.tile in
+  let found = Tiles.find_opt t.table r.Task.tile in
   Option.iter (fun e -> check_size "touch" e r) found;
   let now = tick t in
   match found with
@@ -110,7 +144,7 @@ let touch t (r : Task.tile_ref) =
       t.hit_comm <- t.hit_comm +. r.Task.t_comm;
       `Hit
   | None ->
-      Hashtbl.replace t.table r.Task.tile
+      Tiles.replace t.table r.Task.tile
         { e_comm = r.Task.t_comm; e_mem = r.Task.t_mem; pins = 1; last_use = now };
       t.resident_bytes <- t.resident_bytes +. r.Task.t_mem;
       t.pinned_bytes <- t.pinned_bytes +. r.Task.t_mem;
@@ -119,60 +153,58 @@ let touch t (r : Task.tile_ref) =
       `Miss
 
 let unpin t tile =
-  match Hashtbl.find_opt t.table tile with
+  match Tiles.find_opt t.table tile with
   | None -> invalid_arg (Printf.sprintf "Residency.unpin: tile %d not resident" tile)
   | Some e ->
       if e.pins <= 0 then
         invalid_arg (Printf.sprintf "Residency.unpin: tile %d not pinned" tile);
       e.pins <- e.pins - 1;
-      if e.pins = 0 then t.pinned_bytes <- t.pinned_bytes -. e.e_mem
+      if e.pins = 0 then begin
+        t.pinned_bytes <- t.pinned_bytes -. e.e_mem;
+        push_stamp t tile e
+      end
 
 (* A write-back makes the output tile resident (write-allocate): its
    memory moves from the finished task's private share into the cache. *)
 let admit_write t (r : Task.tile_ref) =
-  let found = Hashtbl.find_opt t.table r.Task.tile in
+  let found = Tiles.find_opt t.table r.Task.tile in
   Option.iter (fun e -> check_size "admit_write" e r) found;
   let now = tick t in
   t.writebacks <- t.writebacks + 1;
   match found with
-  | Some e -> e.last_use <- now
+  | Some e ->
+      e.last_use <- now;
+      if e.pins = 0 then push_stamp t r.Task.tile e
   | None ->
-      Hashtbl.replace t.table r.Task.tile
-        { e_comm = r.Task.t_comm; e_mem = r.Task.t_mem; pins = 0; last_use = now };
-      t.resident_bytes <- t.resident_bytes +. r.Task.t_mem
+      let e = { e_comm = r.Task.t_comm; e_mem = r.Task.t_mem; pins = 0; last_use = now } in
+      Tiles.replace t.table r.Task.tile e;
+      t.resident_bytes <- t.resident_bytes +. r.Task.t_mem;
+      push_stamp t r.Task.tile e
 
 let evictable_bytes t = t.resident_bytes -. t.pinned_bytes
 
-(* The unpinned victim the policy would evict next: least recently used,
-   or cheapest to refetch (ties by recency, then tile id — deterministic
-   whatever the hash order). *)
-let evict_candidate t =
-  let better (id_a, a) (id_b, b) =
-    match t.policy with
-    | Lru ->
-        a.last_use < b.last_use || (a.last_use = b.last_use && id_a < id_b)
-    | Min_refetch ->
-        let c = Float.compare a.e_comm b.e_comm in
-        c < 0
-        || (c = 0 && (a.last_use < b.last_use || (a.last_use = b.last_use && id_a < id_b)))
-  in
-  Hashtbl.fold
-    (fun id e best ->
-      if e.pins > 0 then best
-      else
-        match best with
-        | None -> Some (id, e)
-        | Some b -> if better (id, e) b then Some (id, e) else best)
-    t.table None
-  |> Option.map fst
+(* The unpinned victim the policy would evict next: the least stamp
+   that is still valid. Each unpinned resident tile has exactly one valid
+   stamp (the one under its [last_use], which no other tile holds), so
+   this is the least unpinned tile by (last_use, id), or by (comm,
+   last_use, id); stale stamps that surface are dropped. *)
+let rec evict_candidate t =
+  match Iheap.peek t.victims with
+  | None -> None
+  | Some s -> (
+      match Tiles.find t.table s.s_tile with
+      | e when e.pins = 0 && e.last_use = s.s_use -> Some s.s_tile
+      | _ | (exception Not_found) ->
+          ignore (Iheap.pop t.victims);
+          evict_candidate t)
 
 let evict t tile =
-  match Hashtbl.find_opt t.table tile with
+  match Tiles.find_opt t.table tile with
   | None -> invalid_arg (Printf.sprintf "Residency.evict: tile %d not resident" tile)
   | Some e ->
       if e.pins > 0 then
         invalid_arg (Printf.sprintf "Residency.evict: tile %d is pinned" tile);
-      Hashtbl.remove t.table tile;
+      Tiles.remove t.table tile;
       t.resident_bytes <- t.resident_bytes -. e.e_mem;
       t.evictions <- t.evictions + 1
 
@@ -185,7 +217,7 @@ let rec evict_down_to t down_to =
     | None -> 0.0
     | Some tile ->
         let freed =
-          match Hashtbl.find_opt t.table tile with Some e -> e.e_mem | None -> 0.0
+          match Tiles.find_opt t.table tile with Some e -> e.e_mem | None -> 0.0
         in
         evict t tile;
         freed +. evict_down_to t down_to

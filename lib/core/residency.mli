@@ -46,7 +46,14 @@ val evictable_bytes : t -> float
 
 val resident_tiles : t -> int
 val is_resident : t -> int -> bool
+
 val pin_count : t -> int -> int
+(** [0] when the tile is not resident. *)
+
+val pins : t -> int -> int
+(** The tile's pin count when it is resident, [-1] when it is not:
+    {!is_resident} and {!pin_count} in one table lookup. *)
+
 val stats : t -> stats
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; [0.] before any reference. *)
@@ -74,7 +81,17 @@ val admit_write : t -> Task.tile_ref -> unit
 val evict_candidate : t -> int option
 (** The unpinned tile the policy would evict next ([None] when every
     resident tile is pinned). Deterministic: ties break by recency and
-    tile id, never by hash order. *)
+    tile id, never by hash order.
+
+    O(log r) amortized over r resident tiles: the set keeps a min-heap of
+    stamps (tile, last use, refetch cost), one pushed whenever a tile's
+    pin count drops to 0 and whenever a write-back refreshes an unpinned
+    tile. A stamp is stale once its tile is evicted, pinned again or used
+    since; stale stamps are dropped as they reach the top. Every
+    reference ticks a clock, so no two resident tiles share a last use,
+    and the least valid stamp names the tile a fold over every unpinned
+    tile would pick. The heap holds at most one stamp per unpin and
+    write-back made on the set. *)
 
 val evict : t -> int -> unit
 (** Remove an unpinned resident tile. Raises [Invalid_argument] if the

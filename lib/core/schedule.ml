@@ -21,7 +21,7 @@ let compare_entries a b =
    array of more than 256 words is seeded with a young block, as a
    freshly made first entry is. *)
 let filler =
-  { task = Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 (); s_comm = 0.0; s_comp = 0.0 }
+  { task = Task.filler; s_comm = 0.0; s_comp = 0.0 }
 
 let make ~capacity entries =
   let a = Array.make (List.length entries) filler in

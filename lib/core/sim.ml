@@ -265,43 +265,12 @@ let cached_advance_to_next_event cs =
 let sum_ref_comm refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_comm) 0.0 refs
 let sum_ref_mem refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0 refs
 
-(* Transfer time the task would actually pay right now: the full comm
-   minus the shares of its currently-resident tiles. *)
-let effective_comm cs (task : Task.t) =
-  match task.Task.tiles with
-  | [] -> task.Task.comm
-  | tiles ->
-      let saved =
-        List.fold_left
-          (fun a (r : Task.tile_ref) ->
-            if Residency.is_resident cs.cres r.Task.tile then a +. r.Task.t_comm else a)
-          0.0 tiles
-      in
-      Float.max 0.0 (task.Task.comm -. saved)
-
 (* Memory no eviction can reclaim: private memory in use + pinned tiles.
-   The left operand of the fit test below, shared with decision loops
-   that test tasks with no resident tile as [unevictable + mem <= kcap]. *)
+   The left operand of a decision loop's fit test: a task can start now,
+   evicting on demand every unpinned tile it does not read itself, iff
+   [unevictable + its own resident unpinned tiles + the memory it still
+   has to bring in <= kcap]; with no resident tile, [unevictable + mem]. *)
 let cached_unevictable cs = cs.cbase.used +. Residency.pinned_bytes cs.cres
-
-(* Could the task start right now, allowing on-demand eviction of every
-   unpinned tile it does not read itself?  The minimum achievable usage
-   is: the unevictable memory + the task's own resident unpinned tiles
-   (kept, they are about to be pinned) + the memory it still has to
-   bring in. *)
-let cached_fits_now cs ~kcap (task : Task.t) =
-  settle_cached cs;
-  let resident_t, resident_unpinned_t =
-    List.fold_left
-      (fun (res_m, unp_m) (r : Task.tile_ref) ->
-        if Residency.is_resident cs.cres r.Task.tile then
-          ( res_m +. r.Task.t_mem,
-            if Residency.pin_count cs.cres r.Task.tile = 0 then unp_m +. r.Task.t_mem
-            else unp_m )
-        else (res_m, unp_m))
-      (0.0, 0.0) task.Task.tiles
-  in
-  cached_unevictable cs +. resident_unpinned_t +. (task.Task.mem -. resident_t) <= kcap
 
 let schedule_task_cached cs ~capacity (task : Task.t) =
   let st = cs.cbase and res = cs.cres in

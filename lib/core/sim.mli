@@ -138,21 +138,16 @@ val cached_advance_to_next_event : cached_state -> bool
     (used by decision loops when no pending task fits). Returns [false]
     when there is no pending event. *)
 
-val effective_comm : cached_state -> Task.t -> float
-(** The transfer time the task would pay right now: [comm] minus the
-    shares of its currently-resident tiles, clamped at [0.]. *)
-
 val cached_unevictable : cached_state -> float
 (** Memory no eviction can reclaim: private memory of in-flight tasks
-    plus pinned tile bytes, {e before} processing any pending event. The
-    left operand of {!cached_fits_now}'s test: after {!settle_cached}, a
-    task none of whose input tiles is resident fits iff
+    plus pinned tile bytes, {e before} processing any pending event.
+    After {!settle_cached}, a task's communication can start at the
+    link-free instant, counting on-demand eviction of every unpinned
+    tile it does not reference itself, iff
+    [cached_unevictable cs +. u +. (mem -. r) <= kcap], with [r] the
+    memory shares of its resident input tiles and [u] those of the
+    unpinned ones among them; with no input tile resident, iff
     [cached_unevictable cs +. mem <= kcap]. *)
-
-val cached_fits_now : cached_state -> kcap:float -> Task.t -> bool
-(** Could the task's communication start at the link-free instant,
-    counting on-demand eviction of every unpinned tile the task does not
-    reference itself? Settles pending events as a side effect. *)
 
 val schedule_task_cached : cached_state -> capacity:float -> Task.t -> Schedule.entry
 (** Start the task's communication at the earliest fitting instant

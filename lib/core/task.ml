@@ -56,6 +56,8 @@ let make ?label ?mem ?(tiles = []) ?(writes = []) ~id ~comm ~comp () =
     invalid_arg "Task.make: tile memory shares exceed mem";
   { id; label; comm; comp; mem; tiles; writes }
 
+let filler = make ~id:(-1) ~comm:0.0 ~comp:0.0 ()
+
 let with_id t id = { t with id }
 
 let flatten t = if t.tiles = [] && t.writes = [] then t else { t with tiles = []; writes = [] }

@@ -54,6 +54,12 @@ val make :
     or duplicate ids, negative/non-finite shares), and when the tile
     shares exceed the task totals. *)
 
+val filler : t
+(** A placeholder task (id [-1], all zero) made once, at start-up, to
+    seed task arrays: OCaml 5's [Array.make] runs a minor collection when
+    it seeds an array above 256 words with a block still in the minor
+    heap, as a freshly made task is. *)
+
 val with_id : t -> int -> t
 (** Same task under a different id (used when renumbering batches). *)
 

@@ -1,8 +1,8 @@
 (* The scheduling path never seeds a large array with a young block:
    OCaml 5's [Array.make] runs a minor collection when an array of more
    than 256 words is seeded with one. Each case starts on an empty minor
-   heap and allocates a small fraction of it, so any minor collection it
-   makes was forced. *)
+   heap and allocates less than it holds (the cached case ~60% of the
+   default 256k words), so any minor collection it makes was forced. *)
 
 open Dt_core
 
@@ -40,6 +40,22 @@ let iheap_adds () =
       done;
       ignore (Sys.opaque_identity h))
 
+(* A fresh instance whose 300 tasks each read 4 consecutive tiles of a
+   pool of 8: the first task scheduled leaves an input of 7 tasks in 8
+   resident, so the cached loop's warm array grows past 256 slots while
+   its tasks are still young. *)
+let cached_rules () =
+  no_minor_collection (fun () ->
+      let tasks =
+        List.init 300 (fun id ->
+            let tile k = { Task.tile = (id + k) mod 8; t_comm = 0.25; t_mem = 0.5 } in
+            let comm = float_of_int (2 + (id mod 3)) in
+            Task.make ~id ~comm ~comp:(float_of_int (1 + (id mod 4))) ~mem:(comm +. 1.0)
+              ~tiles:(List.init 4 tile) ())
+      in
+      let instance = Instance.make ~capacity:24.0 tasks in
+      ignore (Sys.opaque_identity (Cached_rules.run Dynamic_rules.SCMR instance)))
+
 (* No swap round: a round re-simulates O(n²) tasks, and that allocation
    alone fills the minor heap. The call still seeds its prefix states. *)
 let local_search () =
@@ -54,4 +70,5 @@ let suite =
     Alcotest.test_case "Schedule.make over 1,000 fresh entries" `Quick schedule_make;
     Alcotest.test_case "1,000 Iheap.adds of fresh records" `Quick iheap_adds;
     Alcotest.test_case "Local_search.improve on 300 tasks" `Quick local_search;
+    Alcotest.test_case "Cached_rules.run on 300 fresh tiled tasks" `Quick cached_rules;
   ]

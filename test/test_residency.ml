@@ -66,6 +66,98 @@ let eviction_policies () =
   check_float "freed down to 1 byte" 2.0 freed;
   Alcotest.(check int) "one tile left" 1 (Residency.resident_tiles lru2)
 
+(* The stamp heap behind [evict_candidate] against the fold it replaced
+   (frozen in [Reference.Res]): random interleavings of touches, unpins,
+   write-backs, evictions and evict-downs, applied to both, must leave
+   the same victim after every step. Tile ids are sparse (k lsl 20, so
+   they would share one bucket under an identity hash) and refetch costs
+   take two values, so min-refetch breaks most choices by recency. An
+   unpin or an evict names the k-th pinned or unpinned tile, as the
+   frozen set sees them. *)
+type res_op =
+  | Touch of int * float
+  | Unpin of int
+  | Write of int * float
+  | Evict of int
+  | Evict_down_to of float
+
+let pool_size = 12
+let pool_tile k = k lsl 20
+
+(* one memory share per tile, as [touch] and [admit_write] require *)
+let pool_ref k comm = ref_ ~comm ~mem:(float_of_int (1 + (k mod 3))) (pool_tile k)
+
+let res_op_gen =
+  let open QCheck2.Gen in
+  let k = int_bound (pool_size - 1) and comm = oneofl [ 1.0; 2.0 ] in
+  frequency
+    [
+      (4, map2 (fun k c -> Touch (k, c)) k comm);
+      (4, map (fun i -> Unpin i) nat);
+      (1, map2 (fun k c -> Write (k, c)) k comm);
+      (1, map (fun i -> Evict i) nat);
+      (1, map (fun b -> Evict_down_to (float_of_int b)) (int_bound 8));
+    ]
+
+let res_op_print = function
+  | Touch (k, c) -> Printf.sprintf "touch %d (comm %g)" (pool_tile k) c
+  | Unpin i -> Printf.sprintf "unpin #%d" i
+  | Write (k, c) -> Printf.sprintf "write %d (comm %g)" (pool_tile k) c
+  | Evict i -> Printf.sprintf "evict #%d" i
+  | Evict_down_to b -> Printf.sprintf "evict down to %g" b
+
+let prop_evict_candidate =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"evict_candidate = frozen fold after every step, both policies"
+       ~print:(fun ops -> String.concat "; " (List.map res_op_print ops))
+       QCheck2.Gen.(list_size (int_range 1 150) res_op_gen)
+       (fun ops ->
+         List.for_all
+           (fun policy ->
+             let r = Residency.create ~policy () and f = Reference.Res.create ~policy () in
+             let nth_tile i keep =
+               match List.filter keep (List.init pool_size pool_tile) with
+               | [] -> None
+               | tiles -> Some (List.nth tiles (i mod List.length tiles))
+             in
+             let step op =
+               match op with
+               | Touch (k, c) ->
+                   Residency.touch r (pool_ref k c) = Reference.Res.touch f (pool_ref k c)
+               | Write (k, c) ->
+                   Residency.admit_write r (pool_ref k c);
+                   Reference.Res.admit_write f (pool_ref k c);
+                   true
+               | Unpin i -> (
+                   match nth_tile i (fun t -> Reference.Res.pin_count f t > 0) with
+                   | None -> true
+                   | Some t ->
+                       Residency.unpin r t;
+                       Reference.Res.unpin f t;
+                       true)
+               | Evict i -> (
+                   match
+                     nth_tile i (fun t ->
+                         Reference.Res.is_resident f t && Reference.Res.pin_count f t = 0)
+                   with
+                   | None -> true
+                   | Some t ->
+                       Residency.evict r t;
+                       Reference.Res.evict f t;
+                       true)
+               | Evict_down_to b ->
+                   Residency.evict_down_to r b = Reference.Res.evict_down_to f b
+             in
+             List.for_all
+               (fun op ->
+                 step op
+                 && Residency.evict_candidate r = Reference.Res.evict_candidate f
+                 && Residency.resident_tiles r = Reference.Res.resident_tiles f
+                 && Residency.stats r = Reference.Res.stats f)
+               ops)
+           Residency.all_policies))
+
 (* ------------------------ cached executor ------------------------- *)
 
 let shared = ref_ ~comm:1.0 ~mem:1.0 7
@@ -245,6 +337,7 @@ let suite =
     Alcotest.test_case "touch/pin lifecycle" `Quick touch_lifecycle;
     Alcotest.test_case "unpin errors" `Quick unpin_errors;
     Alcotest.test_case "eviction policies" `Quick eviction_policies;
+    prop_evict_candidate;
     Alcotest.test_case "hit skips transfer share" `Quick hit_skips_share;
     Alcotest.test_case "write-back becomes resident" `Quick writeback_becomes_resident;
     Alcotest.test_case "eviction under memory pressure" `Quick eviction_under_pressure;
