@@ -3,6 +3,11 @@
    shows, the makespan of
 
    - each of the 14 portfolio heuristics at 1, 1.5 and 2 m_c;
+   - batched OOLCMR (batches of 100, the paper's window) at 1, 1.5 and
+     2 m_c, which hands the executor state over at each batch boundary;
+   - lp.3 on the first 12 tasks at 1.5 m_c, under a 200-node
+     branch-and-bound limit (the default limit takes seconds per
+     trace);
    - each of the six Cached_rules configurations at 1.5 m_c, with its
      cache statistics (hits, misses, evictions, hit and miss comm);
    - an OOSCMR Engine at 1.5 m_c fed spaced arrivals, drained once at
@@ -56,8 +61,14 @@ let () =
             (fun h ->
               Printf.printf "  %g m_c %-7s %h\n" factor (Heuristic.name h)
                 (Schedule.makespan (Heuristic.run h i)))
-            Heuristic.all)
+            Heuristic.all;
+          Printf.printf "  %g m_c batched OOLCMR %h\n" factor
+            (Schedule.makespan
+               (Batched.run ~batch:100 (Heuristic.Corrected Corrected_rules.OOLCMR) i)))
         [ 1.0; 1.5; 2.0 ];
+      let prefix = instance (List.filteri (fun k _ -> k < 12) tasks) 1.5 in
+      Printf.printf "  1.5 m_c lp.3 on 12 tasks %h\n"
+        (Schedule.makespan (Heuristic.run ~lp_node_limit:200 (Heuristic.Lp 3) prefix));
       let i = instance tasks 1.5 in
       List.iter
         (fun policy ->
