@@ -63,7 +63,7 @@ let test_local_search =
    pattern, n/2 tasks added and the other n/2 reserved, then one arrival
    per decision. [portfolio]: the index calls of the six indexed rules
    on one n-task instance, recorded once and replayed back to back, as
-   [Auto.best_on] makes them. *)
+   [Auto.select] makes them. *)
 let candidates_select idx k ~mean_mem =
   let crit = List.nth Dt_core.Dynamic_rules.all (k mod 3) in
   let select ~used ~kcap =

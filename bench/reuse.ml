@@ -7,10 +7,10 @@
 
    The cached result is the best of {Lru, Min_refetch} x {evict-aware
    SCMR, the no-sharing order replayed under the cache}. The replay arm
-   makes the "cached never worse" gate structural: with no write-backs,
-   re-running the exact baseline order under residency can only shorten
-   transfers (hits skip their share, eviction is free and on demand), so
-   the minimum over all arms is <= the baseline at every point. *)
+   makes the "cached never worse" gate structural: re-running the exact
+   baseline order under residency can only shorten transfers (hits skip
+   their share, eviction is free and on demand), so the minimum over all
+   arms is <= the baseline at every point. *)
 
 open Dt_core
 

@@ -30,8 +30,7 @@
     globalised across the five arrays). The shares are proportional
     carve-outs of the unchanged [(comm, mem)] totals, so annotation-blind
     executors see exactly the stream they always saw, while the residency
-    model ({!Dt_core.Residency}) can exploit inter-task reuse. No stream
-    emits write-backs. *)
+    model ({!Dt_core.Residency}) can exploit inter-task reuse. *)
 
 val hf_tasks :
   ?tile:int ->

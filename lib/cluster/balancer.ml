@@ -13,13 +13,6 @@ let strategy_name = function
   | Greedy -> "greedy"
   | Diffusive -> "diffusive"
 
-let strategy_of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "none" | "no-migration" -> Some No_migration
-  | "greedy" -> Some Greedy
-  | "diffusive" -> Some Diffusive
-  | _ -> None
-
 (* Aggregated loads of a placement, kept incrementally updatable so the
    balancers can evaluate candidate moves in O(1) per resource. *)
 type loads = {
@@ -92,10 +85,6 @@ let check_args topo summaries placement =
       (Printf.sprintf "Balancer: %d summaries for %d placements" (Array.length summaries)
          (Array.length placement));
   Topology.validate_placement topo placement
-
-let unit_cost topo cm summaries placement u =
-  check_args topo summaries placement;
-  unit_cost_of_loads topo cm (make_loads topo summaries placement) u
 
 let cost topo cm summaries placement =
   check_args topo summaries placement;

@@ -21,7 +21,7 @@ type cost_model = {
 val default_cost_model : cost_model
 (** [alpha = 1, beta = 1, gamma = 1]: compute and communication count at
     face value, memory over-subscription is penalised in comparable
-    time units (see {!unit_cost}). *)
+    time units (see {!cost}). *)
 
 type strategy =
   | No_migration            (** keep the given placement (baseline) *)
@@ -33,21 +33,17 @@ type strategy =
                                 and the global maximum does not regress *)
 
 val strategy_name : strategy -> string
-val strategy_of_name : string -> strategy option
 
-val unit_cost :
-  Topology.t -> cost_model -> Dt_trace.Fleet.trace_summary array -> int array -> int -> float
-(** Modeled completion time of one unit under a placement:
+val cost :
+  Topology.t -> cost_model -> Dt_trace.Fleet.trace_summary array -> int array -> float
+(** The modeled application completion time: the max over units of a
+    unit's modeled completion time under the placement,
     [alpha * sum of resident comp volumes
      + beta * (comm volume through the unit's link) / bandwidth
      + gamma * overuse(node) * mean unit work], where [overuse] is the
     fraction by which the node's resident memory peaks exceed its
     capacity. The memory term scales with the workload so the penalty
     is commensurate with the time terms. *)
-
-val cost :
-  Topology.t -> cost_model -> Dt_trace.Fleet.trace_summary array -> int array -> float
-(** The modeled application completion time: max over units. *)
 
 val balance :
   ?max_iters:int ->

@@ -17,18 +17,16 @@
            scan's fit test and effective comm. The pass allocates
            nothing.
 
-   A tile becomes resident only when a task reading or writing it is
-   scheduled (a write-back lands by the next decision's settle, since
-   scheduling the writer moves the link past it), so scheduling a task
-   moves the indexed readers of its tiles to the warm set. Evictions only
-   cool tasks down: a warm task found with no resident input tile goes
-   back to the index. The min-idle filter runs over the union — the warm
-   tasks' least idle time is the index's idle floor, and both sides are
-   filtered with one bound — and the winner under (key, id) is unique,
-   so every decision is the one a full scan of the remaining tasks
-   takes: bit for bit (QCheck-pinned against a frozen list-scan copy),
-   and equal to the flat heuristics on instances without tile
-   annotations. *)
+   A tile becomes resident only when a task reading it is scheduled, so
+   scheduling a task moves the indexed readers of its tiles to the warm
+   set. Evictions only cool tasks down: a warm task found with no
+   resident input tile goes back to the index. The min-idle filter runs
+   over the union — the warm tasks' least idle time is the index's idle
+   floor, and both sides are filtered with one bound — and the winner
+   under (key, id) is unique, so every decision is the one a full scan
+   of the remaining tasks takes: bit for bit (QCheck-pinned against a
+   frozen list-scan copy), and equal to the flat heuristics on
+   instances without tile annotations. *)
 
 let name policy criterion =
   Printf.sprintf "%s+%s" (Dynamic_rules.name criterion) (Residency.policy_name policy)
@@ -186,20 +184,19 @@ let choose l =
       then Warm !best
       else Cold c
 
-(* Scheduling [t] makes its input tiles resident now and its output tiles
-   by the next decision: their indexed readers warm up. *)
+(* Scheduling [t] makes its tiles resident: their indexed readers warm
+   up. *)
 let warm_readers l (t : Task.t) =
-  let wake (r : Task.tile_ref) =
-    List.iter
-      (fun (u : Task.t) ->
-        if Option.is_some (Candidates.find l.cold u.Task.id) then begin
-          Candidates.remove l.cold u;
-          push_warm l u
-        end)
-      (Option.value ~default:[] (Hashtbl.find_opt l.readers r.Task.tile))
-  in
-  List.iter wake t.Task.tiles;
-  List.iter wake t.Task.writes
+  List.iter
+    (fun (r : Task.tile_ref) ->
+      List.iter
+        (fun (u : Task.t) ->
+          if Option.is_some (Candidates.find l.cold u.Task.id) then begin
+            Candidates.remove l.cold u;
+            push_warm l u
+          end)
+        (Option.value ~default:[] (Hashtbl.find_opt l.readers r.Task.tile)))
+    t.Task.tiles
 
 let run ?policy ?(min_idle_filter = true) criterion instance =
   let capacity = instance.Instance.capacity in

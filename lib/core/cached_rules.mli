@@ -10,9 +10,8 @@
     The unscheduled tasks with no resident input tile ("cold") sit in a
     {!Candidates} index, where their effective values are their static
     ones bit for bit; the others ("warm") sit in a slot array. Scheduling
-    a task warms up the readers of its input and output tiles; a warm
-    task found with no resident input tile returns to the index. A
-    decision costs O(log n) for the index plus one pass over the warm
+    a task warms up the readers of its tiles; a warm task found with no
+    resident input tile returns to the index. A decision costs O(log n) for the index plus one pass over the warm
     tasks' input tiles, one {!Residency.pins} lookup per tile and no
     allocation, against a fit test and an effective comm (up to four
     table lookups per tile) for every remaining task in a full scan; it

@@ -40,7 +40,7 @@
     reuses the layout last built on the calling domain when it lays out
     physically the same task sequence, in O(n); otherwise it sorts, in
     O(n log n). So the six indexed rules of a portfolio
-    ({!Auto.best_on}), like the six configurations of {!Cached_rules},
+    ({!Auto.select}), like the six configurations of {!Cached_rules},
     sort an instance once. Only never-seen tasks wait for a rebuild: an
     offline run's initial load, a served session's [SUBMIT]s before its
     [DRAIN].

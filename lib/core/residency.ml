@@ -6,12 +6,6 @@ let all_policies = [ Lru; Min_refetch ]
 
 let policy_name = function Lru -> "lru" | Min_refetch -> "min-refetch"
 
-let policy_of_name s =
-  match String.lowercase_ascii s with
-  | "lru" -> Some Lru
-  | "min-refetch" | "minrefetch" | "min_refetch" -> Some Min_refetch
-  | _ -> None
-
 (* Tile ids may be sparse (an array's base plus a tile index) and
    [Hashtbl.Make] picks a bucket from the hash's low bits, so the hash
    mixes every bit of the id into them (two xor-shift-multiply rounds):
@@ -50,13 +44,11 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  writebacks : int;
   hit_comm : float;  (* transfer time saved by hits *)
   miss_comm : float; (* transfer time paid on misses *)
 }
 
 type t = {
-  policy : policy;
   table : entry Tiles.t;
   victims : stamp Iheap.t; (* every unpinned resident tile's stamp, and stale ones *)
   mutable resident_bytes : float;
@@ -65,14 +57,12 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable writebacks : int;
   mutable hit_comm : float;
   mutable miss_comm : float;
 }
 
 let create ?(policy = Lru) () =
   {
-    policy;
     table = Tiles.create 64;
     victims = Iheap.create ~cmp:(match policy with Lru -> by_recency | Min_refetch -> by_refetch);
     resident_bytes = 0.0;
@@ -81,12 +71,10 @@ let create ?(policy = Lru) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    writebacks = 0;
     hit_comm = 0.0;
     miss_comm = 0.0;
   }
 
-let policy t = t.policy
 let resident_bytes t = t.resident_bytes
 let pinned_bytes t = t.pinned_bytes
 let resident_tiles t = Tiles.length t.table
@@ -100,40 +88,30 @@ let stats t =
     hits = t.hits;
     misses = t.misses;
     evictions = t.evictions;
-    writebacks = t.writebacks;
     hit_comm = t.hit_comm;
     miss_comm = t.miss_comm;
   }
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* [e] just became, or stays, an unpinned resident tile under a new
-   [last_use]: its previous stamp, if any, is stale from now on. *)
-let push_stamp t tile e =
-  Iheap.add t.victims { s_tile = tile; s_use = e.last_use; s_comm = e.e_comm }
-
 (* A tile is one block of memory: every reference to a resident tile
    must carve out the same memory share, or the executor's memory
    accounting (which charges the resident size once and each task's own
    share privately) no longer adds up. Transfer shares may differ. *)
-let check_size who (e : entry) (r : Task.tile_ref) =
+let check_size (e : entry) (r : Task.tile_ref) =
   if e.e_mem <> r.Task.t_mem then
     invalid_arg
-      (Printf.sprintf "Residency.%s: tile %d is resident with %g bytes, referenced with %g"
-         who r.Task.tile e.e_mem r.Task.t_mem)
+      (Printf.sprintf "Residency.touch: tile %d is resident with %g bytes, referenced with %g"
+         r.Task.tile e.e_mem r.Task.t_mem)
 
 (* Pin a tile the task reads. A resident tile is a hit (no transfer, no
    new memory); an absent one is a miss — it is admitted resident and
    charged to the cache. Either way the tile is pinned until {!unpin}. *)
 let touch t (r : Task.tile_ref) =
   let found = Tiles.find_opt t.table r.Task.tile in
-  Option.iter (fun e -> check_size "touch" e r) found;
+  Option.iter (fun e -> check_size e r) found;
   let now = tick t in
   match found with
   | Some e ->
@@ -161,27 +139,9 @@ let unpin t tile =
       e.pins <- e.pins - 1;
       if e.pins = 0 then begin
         t.pinned_bytes <- t.pinned_bytes -. e.e_mem;
-        push_stamp t tile e
+        (* the tile's earlier stamps, if any, are stale from now on *)
+        Iheap.add t.victims { s_tile = tile; s_use = e.last_use; s_comm = e.e_comm }
       end
-
-(* A write-back makes the output tile resident (write-allocate): its
-   memory moves from the finished task's private share into the cache. *)
-let admit_write t (r : Task.tile_ref) =
-  let found = Tiles.find_opt t.table r.Task.tile in
-  Option.iter (fun e -> check_size "admit_write" e r) found;
-  let now = tick t in
-  t.writebacks <- t.writebacks + 1;
-  match found with
-  | Some e ->
-      e.last_use <- now;
-      if e.pins = 0 then push_stamp t r.Task.tile e
-  | None ->
-      let e = { e_comm = r.Task.t_comm; e_mem = r.Task.t_mem; pins = 0; last_use = now } in
-      Tiles.replace t.table r.Task.tile e;
-      t.resident_bytes <- t.resident_bytes +. r.Task.t_mem;
-      push_stamp t r.Task.tile e
-
-let evictable_bytes t = t.resident_bytes -. t.pinned_bytes
 
 (* The unpinned victim the policy would evict next: the least stamp
    that is still valid. Each unpinned resident tile has exactly one valid
@@ -207,17 +167,3 @@ let evict t tile =
       Tiles.remove t.table tile;
       t.resident_bytes <- t.resident_bytes -. e.e_mem;
       t.evictions <- t.evictions + 1
-
-(* Drop unpinned tiles until at most [down_to] evictable bytes remain or
-   nothing is evictable; returns the bytes freed. *)
-let rec evict_down_to t down_to =
-  if evictable_bytes t <= down_to then 0.0
-  else
-    match evict_candidate t with
-    | None -> 0.0
-    | Some tile ->
-        let freed =
-          match Tiles.find_opt t.table tile with Some e -> e.e_mem | None -> 0.0
-        in
-        evict t tile;
-        freed +. evict_down_to t down_to

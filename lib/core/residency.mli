@@ -18,13 +18,11 @@ type policy =
 
 val all_policies : policy list
 val policy_name : policy -> string
-val policy_of_name : string -> policy option
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  writebacks : int;
   hit_comm : float;  (** transfer time saved by cache hits *)
   miss_comm : float; (** transfer time paid on misses *)
 }
@@ -34,15 +32,11 @@ type t
 val create : ?policy:policy -> unit -> t
 (** An empty residency set (default policy {!Lru}). *)
 
-val policy : t -> policy
 val resident_bytes : t -> float
 (** Memory currently held by resident tiles (pinned or not). *)
 
 val pinned_bytes : t -> float
 (** Memory held by tiles with at least one pin. *)
-
-val evictable_bytes : t -> float
-(** [resident_bytes - pinned_bytes]: reclaimable on demand. *)
 
 val resident_tiles : t -> int
 val is_resident : t -> int -> bool
@@ -55,8 +49,6 @@ val pins : t -> int -> int
     {!is_resident} and {!pin_count} in one table lookup. *)
 
 val stats : t -> stats
-val hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any reference. *)
 
 val touch : t -> Task.tile_ref -> [ `Hit | `Miss ]
 (** Reference a tile at a task's communication start: a resident tile is
@@ -71,13 +63,6 @@ val unpin : t -> int -> unit
 (** Release one pin. Raises [Invalid_argument] if the tile is not
     resident or not pinned. *)
 
-val admit_write : t -> Task.tile_ref -> unit
-(** Record a completed write-back: the output tile becomes resident
-    (unpinned); its memory moves from the task's private share into the
-    cache. Refreshes recency if the tile was already resident; raises
-    [Invalid_argument] like {!touch} if it is resident with another
-    memory share. *)
-
 val evict_candidate : t -> int option
 (** The unpinned tile the policy would evict next ([None] when every
     resident tile is pinned). Deterministic: ties break by recency and
@@ -85,18 +70,13 @@ val evict_candidate : t -> int option
 
     O(log r) amortized over r resident tiles: the set keeps a min-heap of
     stamps (tile, last use, refetch cost), one pushed whenever a tile's
-    pin count drops to 0 and whenever a write-back refreshes an unpinned
-    tile. A stamp is stale once its tile is evicted, pinned again or used
-    since; stale stamps are dropped as they reach the top. Every
+    pin count drops to 0. A stamp is stale once its tile is evicted or
+    pinned again; stale stamps are dropped as they reach the top. Every
     reference ticks a clock, so no two resident tiles share a last use,
     and the least valid stamp names the tile a fold over every unpinned
-    tile would pick. The heap holds at most one stamp per unpin and
-    write-back made on the set. *)
+    tile would pick. The heap holds at most one stamp per unpin made on
+    the set. *)
 
 val evict : t -> int -> unit
 (** Remove an unpinned resident tile. Raises [Invalid_argument] if the
     tile is absent or pinned. *)
-
-val evict_down_to : t -> float -> float
-(** [evict_down_to t b]: evict victims until at most [b] evictable bytes
-    remain (or nothing is evictable); returns the bytes freed. *)

@@ -213,16 +213,15 @@ let run_two_orders ?state ~capacity ~comm_order comp_order =
    same order: bit-identity to the flat model (QCheck-pinned). *)
 
 type cached_event = {
-  ev_time : float;               (* computation or write-back end *)
+  ev_time : float;               (* computation end *)
   ev_free : float;               (* private memory released *)
-  ev_unpin : int list;           (* input tiles unpinned *)
-  ev_admit : Task.tile_ref list; (* write-backs becoming resident *)
+  ev_unpin : Task.tile_ref list; (* input tiles unpinned *)
 }
 
 type cached_state = {
   cbase : state; (* link/cpu clocks + private memory in use; its
                     [releases] queue is unused — [cevents] replaces it,
-                    carrying unpins and write-back admissions too *)
+                    carrying the unpins too *)
   cres : Residency.t;
   cevents : cached_event Queue.t; (* pushed in nondecreasing time order *)
 }
@@ -234,12 +233,9 @@ let cached_residency cs = cs.cres
 let cached_link_free cs = cs.cbase.link_free
 let cached_cpu_free cs = cs.cbase.cpu_free
 
-let cached_memory_in_use cs = cs.cbase.used +. Residency.resident_bytes cs.cres
-
 let apply_cached_event cs ev =
   cs.cbase.used <- cs.cbase.used -. ev.ev_free;
-  List.iter (Residency.unpin cs.cres) ev.ev_unpin;
-  List.iter (Residency.admit_write cs.cres) ev.ev_admit
+  List.iter (fun (r : Task.tile_ref) -> Residency.unpin cs.cres r.Task.tile) ev.ev_unpin
 
 let process_cached_until cs time =
   let rec loop () =
@@ -262,7 +258,6 @@ let cached_advance_to_next_event cs =
       if ev.ev_time > cs.cbase.link_free then cs.cbase.link_free <- ev.ev_time;
       true
 
-let sum_ref_comm refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_comm) 0.0 refs
 let sum_ref_mem refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0 refs
 
 (* Memory no eviction can reclaim: private memory in use + pinned tiles.
@@ -281,8 +276,8 @@ let schedule_task_cached cs ~capacity (task : Task.t) =
   let kcap = capacity *. (1.0 +. 1e-12) in
   process_cached_until cs st.link_free;
   (* Pin the tiles that are resident right now, before any eviction below
-     could throw them out; the rest is classified as missing and admitted
-     once the memory fit is secured. *)
+     could throw them out; the rest is admitted once the memory fit is
+     secured. Waiting only unpins and evicts, so each of those misses. *)
   let hit_now, miss_now =
     List.partition
       (fun (r : Task.tile_ref) -> Residency.is_resident res r.Task.tile)
@@ -302,49 +297,28 @@ let schedule_task_cached cs ~capacity (task : Task.t) =
             apply_cached_event cs ev;
             if ev.ev_time > !start then start := ev.ev_time)
   done;
-  (* Admit the missing tiles; one may have become resident through a
-     write-back processed while waiting — then it hits after all. *)
-  let eff = ref task.Task.comm in
-  List.iter (fun (r : Task.tile_ref) -> eff := !eff -. r.Task.t_comm) hit_now;
-  List.iter
-    (fun (r : Task.tile_ref) ->
-      match Residency.touch res r with
-      | `Hit -> eff := !eff -. r.Task.t_comm
-      | `Miss -> ())
-    miss_now;
-  let eff = if task.Task.tiles = [] then task.Task.comm else Float.max 0.0 !eff in
+  List.iter (fun r -> ignore (Residency.touch res r)) miss_now;
+  let eff =
+    if task.Task.tiles = [] then task.Task.comm
+    else
+      Float.max 0.0
+        (List.fold_left (fun e (r : Task.tile_ref) -> e -. r.Task.t_comm) task.Task.comm hit_now)
+  in
   let s_comm = !start in
   let comm_end = s_comm +. eff in
   let s_comp = Float.max comm_end st.cpu_free in
   let comp_end = s_comp +. task.Task.comp in
-  let tiles_mem = sum_ref_mem task.Task.tiles in
-  let writes_mem = sum_ref_mem task.Task.writes in
   (* input-tile shares now live in the cache; only the private remainder
      is charged to (and released from) the task itself *)
-  st.used <- st.used +. (task.Task.mem -. tiles_mem);
+  let private_mem = task.Task.mem -. sum_ref_mem task.Task.tiles in
+  st.used <- st.used +. private_mem;
   st.link_free <- comm_end;
   st.cpu_free <- comp_end;
-  Queue.push
-    {
-      ev_time = comp_end;
-      ev_free = task.Task.mem -. tiles_mem -. writes_mem;
-      ev_unpin = List.map (fun (r : Task.tile_ref) -> r.Task.tile) task.Task.tiles;
-      ev_admit = [];
-    }
-    cs.cevents;
-  if task.Task.writes <> [] then begin
-    (* the result streams back over the same link after the computation;
-       the written tiles then become resident (write-allocate) *)
-    let wb_end = comp_end +. sum_ref_comm task.Task.writes in
-    if wb_end > st.link_free then st.link_free <- wb_end;
-    Queue.push
-      { ev_time = wb_end; ev_free = writes_mem; ev_unpin = []; ev_admit = task.Task.writes }
-      cs.cevents
-  end;
+  Queue.push { ev_time = comp_end; ev_free = private_mem; ev_unpin = task.Task.tiles } cs.cevents;
   { Schedule.task = Task.charged task ~comm:eff; s_comm; s_comp }
 
-let run_order_cached ?cstate ?policy ~capacity tasks =
-  let cs = match cstate with Some c -> c | None -> cached_state ?policy () in
+let run_order_cached ?policy ~capacity tasks =
+  let cs = cached_state ?policy () in
   let rec loop acc = function
     | [] -> Ok (Schedule.make ~capacity (List.rev acc), Residency.stats cs.cres)
     | t :: rest ->

@@ -102,19 +102,22 @@ val run_two_orders :
     (its [t_comm] share is skipped) and no new memory; missing tiles are
     fetched and stay resident after the task completes; unpinned tiles
     are evicted on demand by the residency policy, so cache residue never
-    delays a task. Tasks with [writes] stream their output tiles back
-    over the link after the computation and the written tiles become
-    resident.
+    delays a task. A task holds its private memory ([mem] minus its
+    tiles' shares) and pins its tiles from its transfer start to its
+    computation end, as in the flat model; there is no output stage.
 
     On tasks without tile annotations this path performs exactly the
     arithmetic of {!schedule_task} in the same order — schedules are
     bit-identical to the flat model (QCheck-pinned in the test suite).
 
     Entries record the task as {!Task.charged} with the effective
-    (post-hit) transfer time, so makespans reflect the cache. Schedule
-    validity under {!Schedule.check} is only meaningful for runs without
-    write-backs (the write transfer is not part of the entry's
-    communication interval). *)
+    (post-hit) transfer time, so makespans reflect the cache. Their
+    intervals pass {!Schedule.check}'s link, processor and data checks,
+    but not always its memory check: it charges each entry its full
+    [mem], so a tile pinned by two tasks in flight counts twice, and a
+    valid cached run can read above capacity there. The test suite
+    checks cached runs with a tile-aware validator instead, which counts
+    each distinct pinned tile once. *)
 
 type cached_state
 
@@ -125,18 +128,14 @@ val cached_residency : cached_state -> Residency.t
 val cached_link_free : cached_state -> float
 val cached_cpu_free : cached_state -> float
 
-val cached_memory_in_use : cached_state -> float
-(** Private memory of in-flight tasks plus resident tile bytes, {e before}
-    processing any pending event. *)
-
 val settle_cached : cached_state -> unit
-(** Process every completion/write-back event up to the link-free instant
-    (the cached analogue of {!settle}). *)
+(** Process every completion event up to the link-free instant (the
+    cached analogue of {!settle}). *)
 
 val cached_advance_to_next_event : cached_state -> bool
-(** Move the link availability to the next completion or write-back event
-    (used by decision loops when no pending task fits). Returns [false]
-    when there is no pending event. *)
+(** Move the link availability to the next completion event (used by
+    decision loops when no pending task fits). Returns [false] when there
+    is no pending event. *)
 
 val cached_unevictable : cached_state -> float
 (** Memory no eviction can reclaim: private memory of in-flight tasks
@@ -152,11 +151,10 @@ val cached_unevictable : cached_state -> float
 val schedule_task_cached : cached_state -> capacity:float -> Task.t -> Schedule.entry
 (** Start the task's communication at the earliest fitting instant
     (evicting unpinned tiles before waiting for releases), then its
-    computation, then its write-backs. Raises [Invalid_argument] when the
-    task alone exceeds the capacity. *)
+    computation. Raises [Invalid_argument] when the task alone exceeds
+    the capacity. *)
 
 val run_order_cached :
-  ?cstate:cached_state ->
   ?policy:Residency.policy ->
   capacity:float ->
   Task.t list ->

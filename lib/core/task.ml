@@ -11,24 +11,22 @@ type t = {
   comp : float;
   mem : float;
   tiles : tile_ref list;
-  writes : tile_ref list;
 }
 
 let finite v = Float.is_finite v
 
-let check_refs what refs =
+let check_refs refs =
   let seen = Hashtbl.create 4 in
   List.iter
     (fun r ->
-      if r.tile < 0 then invalid_arg (Printf.sprintf "Task.make: negative %s tile id" what);
-      if r.t_comm < 0.0 || r.t_mem < 0.0 then
-        invalid_arg (Printf.sprintf "Task.make: negative %s tile field" what);
+      if r.tile < 0 then invalid_arg "Task.make: negative input tile id";
+      if r.t_comm < 0.0 || r.t_mem < 0.0 then invalid_arg "Task.make: negative input tile field";
       if Float.is_nan r.t_comm || Float.is_nan r.t_mem then
-        invalid_arg (Printf.sprintf "Task.make: NaN %s tile field" what);
+        invalid_arg "Task.make: NaN input tile field";
       if not (finite r.t_comm && finite r.t_mem) then
-        invalid_arg (Printf.sprintf "Task.make: non-finite %s tile field" what);
+        invalid_arg "Task.make: non-finite input tile field";
       if Hashtbl.mem seen r.tile then
-        invalid_arg (Printf.sprintf "Task.make: duplicate %s tile id %d" what r.tile);
+        invalid_arg (Printf.sprintf "Task.make: duplicate input tile id %d" r.tile);
       Hashtbl.replace seen r.tile ())
     refs
 
@@ -39,7 +37,7 @@ let sum_mem refs = List.fold_left (fun acc r -> acc +. r.t_mem) 0.0 refs
    1e-9-relative slack absorbs the rounding of proportional splits. *)
 let share_slack total = 1e-9 *. Float.max 1.0 total
 
-let make ?label ?mem ?(tiles = []) ?(writes = []) ~id ~comm ~comp () =
+let make ?label ?mem ?(tiles = []) ~id ~comm ~comp () =
   let mem = match mem with Some m -> m | None -> comm in
   let label = match label with Some l -> l | None -> Printf.sprintf "t%d" id in
   if comm < 0.0 || comp < 0.0 || mem < 0.0 then
@@ -48,28 +46,24 @@ let make ?label ?mem ?(tiles = []) ?(writes = []) ~id ~comm ~comp () =
     invalid_arg "Task.make: NaN field";
   if not (finite comm && finite comp && finite mem) then
     invalid_arg "Task.make: non-finite field";
-  check_refs "input" tiles;
-  check_refs "output" writes;
+  check_refs tiles;
   if sum_comm tiles > comm +. share_slack comm then
     invalid_arg "Task.make: tile communication shares exceed comm";
-  if sum_mem tiles +. sum_mem writes > mem +. share_slack mem then
+  if sum_mem tiles > mem +. share_slack mem then
     invalid_arg "Task.make: tile memory shares exceed mem";
-  { id; label; comm; comp; mem; tiles; writes }
+  { id; label; comm; comp; mem; tiles }
 
 let filler = make ~id:(-1) ~comm:0.0 ~comp:0.0 ()
 
 let with_id t id = { t with id }
 
-let flatten t = if t.tiles = [] && t.writes = [] then t else { t with tiles = []; writes = [] }
+let flatten t = if t.tiles = [] then t else { t with tiles = [] }
 
-let has_tiles t = t.tiles <> [] || t.writes <> []
-
-let shared_comm t = sum_comm t.tiles
-let shared_mem t = sum_mem t.tiles
+let has_tiles t = t.tiles <> []
 
 let charged t ~comm =
   if comm < 0.0 || not (finite comm) then invalid_arg "Task.charged: bad effective comm";
-  { t with comm; tiles = []; writes = [] }
+  { t with comm; tiles = [] }
 
 let is_compute_intensive t = t.comp >= t.comm
 
@@ -81,7 +75,6 @@ let equal a b =
   a.id = b.id && a.comm = b.comm && a.comp = b.comp && a.mem = b.mem
   && String.equal a.label b.label
   && List.equal tile_ref_equal a.tiles b.tiles
-  && List.equal tile_ref_equal a.writes b.writes
 
 let compare_id a b = Int.compare a.id b.id
 
@@ -91,8 +84,4 @@ let pp ppf t =
     Format.fprintf ppf " tiles=[%s]"
       (String.concat ";"
          (List.map (fun r -> Printf.sprintf "%d:%g:%g" r.tile r.t_comm r.t_mem) t.tiles));
-  if t.writes <> [] then
-    Format.fprintf ppf " writes=[%s]"
-      (String.concat ";"
-         (List.map (fun r -> Printf.sprintf "%d:%g:%g" r.tile r.t_comm r.t_mem) t.writes));
   Format.fprintf ppf ")@]"

@@ -29,19 +29,13 @@ type t = private {
   mem : float;       (** memory requirement, >= 0 — the full all-miss value *)
   tiles : tile_ref list;
                      (** shared input tiles; [sum t_comm <= comm],
-                         [sum t_mem] (with [writes]) [<= mem] *)
-  writes : tile_ref list;
-                     (** output tiles written back over the link after the
-                         computation; [t_comm] is the write-back transfer
-                         time (not part of [comm]), [t_mem] the portion of
-                         [mem] that stays resident as the written tile *)
+                         [sum t_mem <= mem] *)
 }
 
 val make :
   ?label:string ->
   ?mem:float ->
   ?tiles:tile_ref list ->
-  ?writes:tile_ref list ->
   id:int ->
   comm:float ->
   comp:float ->
@@ -68,11 +62,6 @@ val flatten : t -> t
     Numerically identical — [comm]/[mem] are unchanged. *)
 
 val has_tiles : t -> bool
-val shared_comm : t -> float
-(** Sum of the input-tile communication shares. *)
-
-val shared_mem : t -> float
-(** Sum of the input-tile memory shares. *)
 
 val charged : t -> comm:float -> t
 (** The task as actually charged by a residency-aware executor: [comm]

@@ -159,18 +159,6 @@ let max_frame_bytes = 1 lsl 20
 
 type 'a frame = Frame of 'a * int | Need_more | Frame_error of string
 
-let extract_frame buf ~pos =
-  let n = String.length buf in
-  if n - pos < 4 then Need_more
-  else
-    let len = Int32.to_int (String.get_int32_be buf pos) in
-    if len < 0 || len > max_frame_bytes then
-      Frame_error
-        (Printf.sprintf "frame length %d out of bounds (max %d)" len
-           max_frame_bytes)
-    else if n - pos - 4 < len then Need_more
-    else Frame (String.sub buf (pos + 4) len, 4 + len)
-
 let frame payload =
   let b = Buffer.create (String.length payload + 4) in
   Buffer.add_int32_be b (Int32.of_int (String.length payload));
@@ -181,12 +169,13 @@ let frame_into buf payload =
   Iobuf.add_u32_be buf (String.length payload);
   Iobuf.add_string buf payload
 
-(* Same extraction as [extract_frame], but over the connection's chunked
-   reassembly buffer: the header is peeked in O(1) and the payload is
-   copied out exactly once, when complete — a sender trickling a frame
-   byte-by-byte costs O(frame) total, not O(frame^2). A completed frame
-   (and a structurally broken header) is consumed; [Need_more] leaves
-   the buffer untouched. *)
+(* Frame extraction over the connection's chunked reassembly buffer: the
+   header is peeked in O(1) and the payload is copied out exactly once,
+   when complete — a sender trickling a frame byte-by-byte costs
+   O(frame) total, not O(frame^2). A completed frame (and a structurally
+   broken header) is consumed; [Need_more] leaves the buffer
+   untouched. The error prints a length past 2^31 as its signed 32-bit
+   value. *)
 let frame_of_buf buf =
   if Iobuf.length buf < 4 then Need_more
   else
@@ -329,18 +318,9 @@ let decode_requests payload =
   | exception Truncated -> Error "truncated request frame"
   | exception Failure msg -> Error msg
 
-let encode_response_frame lines =
-  let b = Buffer.create 64 in
-  List.iter
-    (fun line ->
-      Buffer.add_int32_be b (Int32.of_int (String.length line));
-      Buffer.add_string b line)
-    lines;
-  frame (Buffer.contents b)
-
-(* Byte-identical to [encode_response_frame], written straight into the
-   connection's output buffer: no intermediate payload string, no frame
-   string — the only copies are each line's bytes landing in a chunk. *)
+(* One response frame written straight into the connection's output
+   buffer: no intermediate payload string, no frame string — the only
+   copies are each line's bytes landing in a chunk. *)
 let encode_response_frame_into buf lines =
   let payload_len =
     List.fold_left (fun acc line -> acc + 4 + String.length line) 0 lines

@@ -113,11 +113,6 @@ type 'a frame =
   | Need_more          (** incomplete: keep the bytes, read more *)
   | Frame_error of string  (** structural: close the connection *)
 
-val extract_frame : string -> pos:int -> string frame
-(** Pull one frame's payload out of a reassembly buffer at [pos]. The
-    server decodes with {!frame_of_buf}; this string form is the
-    reference the tests compare it against. *)
-
 val frame_of_buf : Iobuf.t -> string frame
 (** Pull one frame out of a chunked reassembly buffer: the length
     header is peeked in O(1), and the payload is copied out (and
@@ -139,16 +134,13 @@ val decode_requests : string -> ((request, string) result list, string) result
     (connection must close); inner [Error] = per-request value error
     (answer [ERR parse], keep going). *)
 
-val encode_response_frame : string list -> string
-(** One frame holding one request's response lines, header included.
-    The server encodes with {!encode_response_frame_into}; this string
-    form is the reference the tests compare it against. *)
-
 val encode_response_frame_into : Iobuf.t -> string list -> unit
-(** Byte-identical output to {!encode_response_frame}, appended
-    directly to the connection's output buffer: the response bytes are
-    written exactly once (each line into a chunk), with no intermediate
-    payload or frame string — the server's binary-mode hot path. *)
+(** One frame holding one request's response lines, header included
+    (a 4-byte big-endian payload length, then each line as a 4-byte
+    big-endian length and its bytes), appended directly to the
+    connection's output buffer: the response bytes are written exactly
+    once (each line into a chunk), with no intermediate payload or frame
+    string — the server's binary-mode hot path. *)
 
 val decode_responses : string -> (string list, string) result
 (** Decode a response frame's payload back into response lines. *)

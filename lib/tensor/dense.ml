@@ -13,8 +13,6 @@ let of_array shape data =
     invalid_arg "Dense.of_array: data length does not match shape";
   { shape; data = Array.copy data }
 
-let scalar v = { shape = Shape.of_list []; data = [| v |] }
-
 let get t idx = t.data.(Shape.linear_index t.shape idx)
 
 let set t idx v = t.data.(Shape.linear_index t.shape idx) <- v

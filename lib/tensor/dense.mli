@@ -11,9 +11,6 @@ val init : Shape.t -> (int array -> float) -> t
 val of_array : Shape.t -> float array -> t
 (** Raises [Invalid_argument] on a length mismatch. The array is copied. *)
 
-val scalar : float -> t
-(** Rank-0 tensor. *)
-
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
 

@@ -3,16 +3,6 @@ let square_dim m =
   if Array.length d <> 2 || d.(0) <> d.(1) then invalid_arg "Linalg: square matrix expected";
   d.(0)
 
-let is_symmetric ?(eps = 1e-10) m =
-  let n = square_dim m in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Float.abs (Dense.get m [| i; j |] -. Dense.get m [| j; i |]) > eps then ok := false
-    done
-  done;
-  !ok
-
 (* Cyclic Jacobi: repeatedly zero the largest-magnitude off-diagonal
    entries with Givens rotations; quadratically convergent for symmetric
    matrices and perfectly adequate for the basis sizes of the examples. *)

@@ -15,5 +15,3 @@ val inverse_sqrt : Dense.t -> Dense.t
 
 val solve_lower_triangular : Dense.t -> float array -> float array
 (** Forward substitution, used by tests as an independent check. *)
-
-val is_symmetric : ?eps:float -> Dense.t -> bool

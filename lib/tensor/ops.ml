@@ -94,8 +94,6 @@ let contract_flops a b ~axes =
   let contracted = List.fold_left (fun acc (i, _) -> acc * da.(i)) 1 axes in
   2.0 *. float_of_int free *. float_of_int contracted
 
-let transpose_flops t = float_of_int (Dense.size t)
-
 let matmul a b =
   if Shape.rank (Dense.shape a) <> 2 || Shape.rank (Dense.shape b) <> 2 then
     invalid_arg "Ops.matmul: rank-2 tensors expected";

@@ -19,9 +19,6 @@ val contract_flops : Dense.t -> Dense.t -> axes:(int * int) list -> float
 (** [2 * |output| * |contracted|] floating-point operations —
     the multiply-add count of the naive algorithm. *)
 
-val transpose_flops : Dense.t -> float
-(** One move per element. *)
-
 val matmul : Dense.t -> Dense.t -> Dense.t
 (** Rank-2 convenience wrapper over {!contract}. *)
 

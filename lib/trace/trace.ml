@@ -12,10 +12,11 @@ let to_instance t ~capacity = Dt_core.Instance.make_keep_ids ~capacity t.tasks
 let min_capacity t =
   List.fold_left (fun acc (tk : Dt_core.Task.t) -> Float.max acc tk.Dt_core.Task.mem) 0.0 t.tasks
 
-(* v2 records append two tile-reference columns (inputs, write-backs):
-   comma-separated [tile:comm:mem] triples, [-] when empty. Traces whose
-   tasks carry no tile annotations are written in the v1 format, which
-   older readers still understand. *)
+(* v2 records append two columns: the input tiles as comma-separated
+   [tile:comm:mem] triples, [-] when empty, and a reserved [writes]
+   column that is always [-]. Traces whose tasks carry no tile
+   annotations are written in the v1 format, which older readers still
+   understand. *)
 let refs_field refs =
   match refs with
   | [] -> "-"
@@ -34,10 +35,9 @@ let write oc t =
     Printf.fprintf oc "# id\tlabel\tcomm\tcomp\tmem\ttiles\twrites\n";
     List.iter
       (fun (tk : Dt_core.Task.t) ->
-        Printf.fprintf oc "%d\t%s\t%.17g\t%.17g\t%.17g\t%s\t%s\n" tk.Dt_core.Task.id
+        Printf.fprintf oc "%d\t%s\t%.17g\t%.17g\t%.17g\t%s\t-\n" tk.Dt_core.Task.id
           tk.Dt_core.Task.label tk.Dt_core.Task.comm tk.Dt_core.Task.comp
-          tk.Dt_core.Task.mem (refs_field tk.Dt_core.Task.tiles)
-          (refs_field tk.Dt_core.Task.writes))
+          tk.Dt_core.Task.mem (refs_field tk.Dt_core.Task.tiles))
       t.tasks
   end
   else begin
@@ -86,9 +86,9 @@ let read_result ic =
       | Some v -> v
       | None -> fail (Printf.sprintf "%s: not a number (got %S)" what s)
     in
-    (* the tile columns of a v2 record: [-] or comma-separated
+    (* the tiles column of a v2 record: [-] or comma-separated
        [tile:comm:mem] triples *)
-    let refs what s =
+    let refs s =
       if s = "-" then []
       else
         List.map
@@ -98,15 +98,14 @@ let read_result ic =
                 let tile =
                   match int_of_string_opt tile with
                   | Some v when v >= 0 -> v
-                  | Some _ | None ->
-                      fail (Printf.sprintf "%s: bad tile id (got %S)" what tile)
+                  | Some _ | None -> fail (Printf.sprintf "tiles: bad tile id (got %S)" tile)
                 in
                 {
                   Dt_core.Task.tile;
-                  t_comm = num (what ^ " comm") t_comm;
-                  t_mem = num (what ^ " mem") t_mem;
+                  t_comm = num "tiles comm" t_comm;
+                  t_mem = num "tiles mem" t_mem;
                 }
-            | _ -> fail (Printf.sprintf "%s: expected tile:comm:mem (got %S)" what triple))
+            | _ -> fail (Printf.sprintf "tiles: expected tile:comm:mem (got %S)" triple))
           (String.split_on_char ',' s)
     in
     let tasks = ref [] in
@@ -116,7 +115,7 @@ let read_result ic =
       | Some v -> v
       | None -> fail (Printf.sprintf "id: not an integer (got %S)" id)
     in
-    let add_task ~id ~label ~comm ~comp ~mem ~tiles ~writes =
+    let add_task ~id ~label ~comm ~comp ~mem ~tiles =
       let id = int_id id in
       (* a duplicate id would silently corrupt the flat per-id records of
          [Sim.run_two_orders] (the later task overwrites the earlier one's
@@ -124,7 +123,7 @@ let read_result ic =
       if Hashtbl.mem seen id then fail (Printf.sprintf "duplicate task id %d" id);
       Hashtbl.replace seen id ();
       tasks :=
-        Dt_core.Task.make ~label ~mem:(num "mem" mem) ~tiles ~writes ~id
+        Dt_core.Task.make ~label ~mem:(num "mem" mem) ~tiles ~id
           ~comm:(num "comm" comm) ~comp:(num "comp" comp) ()
         :: !tasks
     in
@@ -134,11 +133,11 @@ let read_result ic =
          incr lineno;
          if String.length line > 0 && line.[0] <> '#' then
            match (version, String.split_on_char '\t' line) with
-           | 1, [ id; label; comm; comp; mem ] ->
-               add_task ~id ~label ~comm ~comp ~mem ~tiles:[] ~writes:[]
-           | 2, [ id; label; comm; comp; mem; tiles; writes ] ->
-               add_task ~id ~label ~comm ~comp ~mem ~tiles:(refs "tiles" tiles)
-                 ~writes:(refs "writes" writes)
+           | 1, [ id; label; comm; comp; mem ] -> add_task ~id ~label ~comm ~comp ~mem ~tiles:[]
+           | 2, [ id; label; comm; comp; mem; tiles; "-" ] ->
+               add_task ~id ~label ~comm ~comp ~mem ~tiles:(refs tiles)
+           | 2, [ _; _; _; _; _; _; writes ] ->
+               fail (Printf.sprintf "writes: reserved column, must be '-' (got %S)" writes)
            | v, fields ->
                fail
                  (Printf.sprintf "bad record: expected %d tab-separated fields, got %d"

@@ -4,11 +4,12 @@
 
     Format: one header line [# dtsched-trace v1 <name>] (or [v2]), one
     comment line with the column names, then one tab-separated line per
-    task: [id label comm comp mem] for v1, plus two tile-reference
-    columns [tiles writes] for v2 — each a comma-separated list of
-    [tile:comm:mem] triples, or [-] when empty. {!write} emits v1
-    whenever no task carries tile annotations, so older readers keep
-    working; {!read_result} accepts both versions. Task ids must be
+    task: [id label comm comp mem] for v1, plus two columns
+    [tiles writes] for v2. [tiles] is a comma-separated list of
+    [tile:comm:mem] triples, or [-] when empty. [writes] is reserved
+    and must be [-]: any other value is a parse error naming its line.
+    {!write} emits v1 whenever no task carries tile annotations, so
+    older readers keep working; {!read_result} accepts both versions. Task ids must be
     unique within a trace (duplicates are a parse error: they would
     silently corrupt per-id result arrays downstream), and every numeric
     field must be finite. *)

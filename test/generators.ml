@@ -53,55 +53,43 @@ let tiled_task_gen =
       return { Task.tile = (slot * 4) + tile; t_comm = c; t_mem = m }
     in
     let* nt = int_range 0 3 in
-    let* nw = int_range 0 1 in
     let* tiles = flatten_l (List.init nt (fun s -> ref_gen s)) in
-    let* writes = flatten_l (List.init nw (fun s -> ref_gen (8 + s))) in
     let* extra_comm = map (fun x -> float_of_int x /. 4.0) (int_range 0 20) in
     let* extra_mem = map (fun x -> float_of_int x /. 4.0) (int_range 0 8) in
     let* comp = map (fun x -> float_of_int x /. 4.0) (int_range 0 40) in
     let sum_c = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_comm) 0.0 tiles in
-    let sum_m =
-      List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0 (tiles @ writes)
-    in
+    let sum_m = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0 tiles in
     return (fun id ->
         Task.make ~id ~comm:(sum_c +. extra_comm) ~comp
           ~mem:(Float.max 0.25 (sum_m +. extra_mem))
-          ~tiles ~writes ()))
+          ~tiles ()))
 
 (* Tiled tasks whose shares are a fixed function of the tile id (as when
    tiles are real shared blocks): every task referencing tile [t] carves
-   out the same (comm, mem) share. No write-backs by default: the
-   cached-never-worse property, whose guarantee assumes consistent shares
-   and no write-backs, runs on this default. With [~writes:true] a task
-   may also write one pool tile back (same share function), which other
-   tasks may read. *)
-let pooled_task_gen ?(writes = false) () =
+   out the same (comm, mem) share, as the cached-never-worse property's
+   guarantee assumes. *)
+let pooled_task_gen =
   QCheck2.Gen.(
     let tile_share t = 0.25 *. float_of_int ((t mod 3) + 1) in
-    let pooled ids =
+    let* ids = list_size (int_range 0 3) (int_range 0 7) in
+    let tiles =
       List.map
         (fun t -> { Task.tile = t; t_comm = tile_share t; t_mem = tile_share t })
         (List.sort_uniq compare ids)
     in
-    let* ids = list_size (int_range 0 3) (int_range 0 7) in
-    let tiles = pooled ids in
     let* extra_comm = map (fun x -> float_of_int x /. 4.0) (int_range 0 20) in
     let* extra_mem = map (fun x -> float_of_int x /. 4.0) (int_range 0 8) in
     let* comp = map (fun x -> float_of_int x /. 4.0) (int_range 0 40) in
-    let* written = if writes then list_size (int_range 0 1) (int_range 0 7) else return [] in
-    let writes = pooled written in
     let sum = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_comm) 0.0 tiles in
-    let mem =
-      List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) (sum +. extra_mem) writes
-    in
     return (fun id ->
-        Task.make ~id ~comm:(sum +. extra_comm) ~comp ~mem:(Float.max 0.25 mem) ~tiles
-          ~writes ()))
+        Task.make ~id ~comm:(sum +. extra_comm) ~comp
+          ~mem:(Float.max 0.25 (sum +. extra_mem))
+          ~tiles ()))
 
-let tiled_instance_gen ?(task = pooled_task_gen ()) ?(min_size = 1) ?(max_size = 8) () =
+let tiled_instance_gen ?(min_size = 1) ?(max_size = 8) () =
   QCheck2.Gen.(
     let* n = int_range min_size max_size in
-    let* mk = list_repeat n task in
+    let* mk = list_repeat n pooled_task_gen in
     let* slack = map (fun x -> float_of_int x /. 8.0) (int_range 0 16) in
     let tasks = List.mapi (fun i f -> f i) mk in
     let m_c =
@@ -121,3 +109,61 @@ let check_feasible name instance sched =
   | Error v ->
       QCheck2.Test.fail_reportf "%s: invalid schedule (%s) on %a" name
         (Schedule.violation_to_string v) Instance.pp instance
+
+(* The validator for cached runs ([Sim.run_order_cached], [Cached_rules]).
+   [Schedule.check] charges each entry its full [mem], so a tile pinned
+   by two tasks in flight counts twice there and a valid cached run can
+   fail it. This check holds that every task of the instance is
+   scheduled exactly once; that transfers never overlap, nor
+   computations, and no computation starts before its data (through
+   [Schedule.check] with the memory bound lifted); and that at each
+   transfer start the private shares ([mem] minus the tile shares) of
+   the tasks in flight, plus each distinct tile they pin counted once,
+   fit the capacity. Entries hold [Task.charged] copies, so each id's
+   tiles are looked up in the instance. Unpinned resident tiles leave no
+   trace in the entries, so a missed eviction is not caught here: the
+   pins against [Reference.Cached] cover it. *)
+let check_cached_feasible (instance : Instance.t) sched =
+  let fail what =
+    QCheck2.Test.fail_reportf "invalid cached schedule (%s) on %a" what Instance.pp instance
+  in
+  let entries = Schedule.entries sched in
+  let tasks = Hashtbl.create 64 in
+  List.iter (fun (t : Task.t) -> Hashtbl.replace tasks t.Task.id t) (Instance.task_list instance);
+  let ids l = List.sort Int.compare (List.map (fun (t : Task.t) -> t.Task.id) l) in
+  if ids (List.map (fun (e : Schedule.entry) -> e.Schedule.task) entries)
+     <> ids (Instance.task_list instance)
+  then fail "the instance's tasks are not each scheduled once"
+  else
+    match Schedule.check (Schedule.make ~capacity:Float.infinity entries) with
+    | Error v -> fail (Schedule.violation_to_string v)
+    | Ok () ->
+        let kcap = instance.Instance.capacity *. (1.0 +. 1e-12) in
+        let usage_at time =
+          let pinned = Hashtbl.create 8 in
+          let private_mem =
+            List.fold_left
+              (fun acc (e : Schedule.entry) ->
+                if e.Schedule.s_comm <= time && time < Schedule.comp_end e then begin
+                  let t = Hashtbl.find tasks e.Schedule.task.Task.id in
+                  List.iter
+                    (fun (r : Task.tile_ref) -> Hashtbl.replace pinned r.Task.tile r.Task.t_mem)
+                    t.Task.tiles;
+                  acc
+                  +. (t.Task.mem
+                     -. List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0
+                          t.Task.tiles)
+                end
+                else acc)
+              0.0 entries
+          in
+          Hashtbl.fold (fun _ m acc -> acc +. m) pinned private_mem
+        in
+        match
+          List.find_opt (fun (e : Schedule.entry) -> usage_at e.Schedule.s_comm > kcap) entries
+        with
+        | Some e ->
+            fail
+              (Printf.sprintf "memory %g above capacity %g at time %g"
+                 (usage_at e.Schedule.s_comm) instance.Instance.capacity e.Schedule.s_comm)
+        | None -> true

@@ -2,7 +2,8 @@
    as the behavioural reference: the O(n log n) loop must produce
    bit-identical schedules, which Test_equiv pins with QCheck properties
    against these copies, and the core-scaling bench times them as its
-   "before" numbers; the same holds for the eviction fold ([Res]). Do not
+   "before" numbers; the same holds for the eviction fold ([Res]) and the
+   string frame codecs ([Frame]). Do not
    "fix" or modernise this file — its value is that it does not
    change. *)
 
@@ -308,8 +309,8 @@ module Cached = struct
           entries := Sim.schedule_task_cached cs ~capacity t :: !entries;
           remaining := List.filter (fun u -> u.Task.id <> t.Task.id) !remaining
       | None ->
-          (* Nothing fits: wait for the next completion or write-back. All
-             tasks fit the capacity alone, so an event must exist. *)
+          (* Nothing fits: wait for the next completion. All tasks fit
+             the capacity alone, so an event must exist. *)
           let advanced = Sim.cached_advance_to_next_event cs in
           assert advanced
     done;
@@ -339,7 +340,6 @@ module Res = struct
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
-    mutable writebacks : int;
     mutable hit_comm : float;
     mutable miss_comm : float;
   }
@@ -354,12 +354,10 @@ module Res = struct
       hits = 0;
       misses = 0;
       evictions = 0;
-      writebacks = 0;
       hit_comm = 0.0;
       miss_comm = 0.0;
     }
 
-  let policy t = t.policy
   let resident_bytes t = t.resident_bytes
   let pinned_bytes t = t.pinned_bytes
   let resident_tiles t = Hashtbl.length t.table
@@ -373,14 +371,9 @@ module Res = struct
       Residency.hits = t.hits;
       misses = t.misses;
       evictions = t.evictions;
-      writebacks = t.writebacks;
       hit_comm = t.hit_comm;
       miss_comm = t.miss_comm;
     }
-
-  let hit_rate t =
-    let total = t.hits + t.misses in
-    if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
   let tick t =
     t.clock <- t.clock + 1;
@@ -429,22 +422,6 @@ module Res = struct
         e.pins <- e.pins - 1;
         if e.pins = 0 then t.pinned_bytes <- t.pinned_bytes -. e.e_mem
 
-  (* A write-back makes the output tile resident (write-allocate): its
-     memory moves from the finished task's private share into the cache. *)
-  let admit_write t (r : Task.tile_ref) =
-    let found = Hashtbl.find_opt t.table r.Task.tile in
-    Option.iter (fun e -> check_size "admit_write" e r) found;
-    let now = tick t in
-    t.writebacks <- t.writebacks + 1;
-    match found with
-    | Some e -> e.last_use <- now
-    | None ->
-        Hashtbl.replace t.table r.Task.tile
-          { e_comm = r.Task.t_comm; e_mem = r.Task.t_mem; pins = 0; last_use = now };
-        t.resident_bytes <- t.resident_bytes +. r.Task.t_mem
-
-  let evictable_bytes t = t.resident_bytes -. t.pinned_bytes
-
   (* The unpinned victim the policy would evict next: least recently used,
      or cheapest to refetch (ties by recency, then tile id — deterministic
      whatever the hash order). *)
@@ -477,20 +454,6 @@ module Res = struct
         Hashtbl.remove t.table tile;
         t.resident_bytes <- t.resident_bytes -. e.e_mem;
         t.evictions <- t.evictions + 1
-
-  (* Drop unpinned tiles until at most [down_to] evictable bytes remain or
-     nothing is evictable; returns the bytes freed. *)
-  let rec evict_down_to t down_to =
-    if evictable_bytes t <= down_to then 0.0
-    else
-      match evict_candidate t with
-      | None -> 0.0
-      | Some tile ->
-          let freed =
-            match Hashtbl.find_opt t.table tile with Some e -> e.e_mem | None -> 0.0
-          in
-          evict t tile;
-          freed +. evict_down_to t down_to
 end
 
 (* Old Bin_packing.bins: First-Fit over a list of open bins, a new bin
@@ -538,4 +501,40 @@ module Sched = struct
     in
     Array.sort cmp entries;
     entries
+end
+
+(* The string frame codecs that [Protocol.frame_of_buf] and
+   [Protocol.encode_response_frame_into] replaced on the server path,
+   kept as the references those are pinned against. *)
+module Frame = struct
+  open Dt_runtime
+
+  (* Pull one frame's payload out of a reassembly buffer at [pos]. *)
+  let extract_frame buf ~pos : string Protocol.frame =
+    let n = String.length buf in
+    if n - pos < 4 then Protocol.Need_more
+    else
+      let len = Int32.to_int (String.get_int32_be buf pos) in
+      if len < 0 || len > Protocol.max_frame_bytes then
+        Protocol.Frame_error
+          (Printf.sprintf "frame length %d out of bounds (max %d)" len
+             Protocol.max_frame_bytes)
+      else if n - pos - 4 < len then Protocol.Need_more
+      else Protocol.Frame (String.sub buf (pos + 4) len, 4 + len)
+
+  let frame payload =
+    let b = Buffer.create (String.length payload + 4) in
+    Buffer.add_int32_be b (Int32.of_int (String.length payload));
+    Buffer.add_string b payload;
+    Buffer.contents b
+
+  (* One frame holding one request's response lines, header included. *)
+  let encode_response_frame lines =
+    let b = Buffer.create 64 in
+    List.iter
+      (fun line ->
+        Buffer.add_int32_be b (Int32.of_int (String.length line));
+        Buffer.add_string b line)
+      lines;
+    frame (Buffer.contents b)
 end

@@ -216,11 +216,11 @@ let engine_two_batch_prop policy =
 
 (* The evict-aware loop (Candidates index for the cold tasks, a scanned
    warm set) against the frozen list scan, on tiled instances whose tasks
-   share pool tiles and write some back: entries and cache statistics
-   must agree under both eviction policies. *)
-let tiled_gen =
-  Generators.tiled_instance_gen ~task:(Generators.pooled_task_gen ~writes:true ())
-    ~min_size:1 ~max_size:40 ()
+   share pool tiles: entries and cache statistics must agree under both
+   eviction policies, and the schedule must pass the cached validator
+   (the frozen scan runs on the same executor, so the pin alone would
+   not see the executor go wrong). *)
+let tiled_gen = Generators.tiled_instance_gen ~min_size:1 ~max_size:40 ()
 
 let cached_prop criterion filter =
   Generators.prop_test ~count:300
@@ -236,7 +236,8 @@ let cached_prop criterion filter =
           let ref_sched, ref_stats =
             Reference.Cached.run ~policy ~min_idle_filter:filter criterion i
           in
-          same_schedule sched ref_sched && stats = ref_stats)
+          same_schedule sched ref_sched && stats = ref_stats
+          && Generators.check_cached_feasible i sched)
         Residency.all_policies)
 
 (* The candidate index against a task-list model, over random

@@ -62,13 +62,6 @@ let prop_auto_dominates =
         (fun h -> Schedule.makespan (Heuristic.run h instance) >= best -. 1e-9)
         Auto.default_portfolio)
 
-let auto_batched_valid () =
-  let i = Examples.table5 in
-  let winners, sched = Auto.run_batched ~batch:2 i in
-  Alcotest.(check int) "three batches" 3 (List.length winners);
-  Alcotest.(check bool) "valid" true (Schedule.check sched = Ok ());
-  Alcotest.(check int) "all tasks" 5 (Schedule.size sched)
-
 (* ------------------------------ flowshop3 ---------------------------- *)
 
 let t3 ~id ~input ~comp ~output = Flowshop3.task ~id ~input ~comp ~output ()
@@ -161,7 +154,6 @@ let suite =
     prop_bounds_valid_exact;
     Alcotest.test_case "auto picks the winner" `Quick auto_picks_winner;
     prop_auto_dominates;
-    Alcotest.test_case "auto batched" `Quick auto_batched_valid;
     Alcotest.test_case "3-stage pipeline basics" `Quick pipeline_basics;
     Alcotest.test_case "3-stage pipelining" `Quick pipeline_overlap;
     Alcotest.test_case "3-stage memory pressure" `Quick memory_constrains_pipeline;

@@ -7,6 +7,7 @@ open Dt_core
 module Engine = Dt_runtime.Engine
 module Protocol = Dt_runtime.Protocol
 module Session = Dt_runtime.Session
+module Iobuf = Dt_runtime.Iobuf
 
 let offline_run policy instance =
   match policy with
@@ -656,7 +657,7 @@ let quit_drops_pipelined_tail () =
           let rec frames pos =
             if pos = String.length got then []
             else
-              match Protocol.extract_frame got ~pos with
+              match Reference.Frame.extract_frame got ~pos with
               | Protocol.Frame (payload, used) -> (
                   match Protocol.decode_responses payload with
                   | Ok lines -> lines :: frames (pos + used)
@@ -749,6 +750,12 @@ let request_gen =
          return (Protocol.Init { capacity; policy; queue_limit; binary }));
       ])
 
+(* The server's frame decoder over a buffer holding [s]. *)
+let frame_of_string s =
+  let buf = Iobuf.create () in
+  Iobuf.add_string buf s;
+  Protocol.frame_of_buf buf
+
 let prop_binary_codec_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300
@@ -756,7 +763,7 @@ let prop_binary_codec_roundtrip =
        QCheck2.Gen.(list_size (int_range 0 20) request_gen)
        (fun requests ->
          let frame = Protocol.encode_request_frame requests in
-         match Protocol.extract_frame frame ~pos:0 with
+         match frame_of_string frame with
          | Protocol.Frame (payload, used) when used = String.length frame -> (
              match Protocol.decode_requests payload with
              | Ok decoded when List.map Result.get_ok decoded = requests -> true
@@ -776,7 +783,7 @@ let binary_codec_edges () =
   in
   List.iter
     (fun k ->
-      match Protocol.extract_frame (String.sub frame 0 k) ~pos:0 with
+      match frame_of_string (String.sub frame 0 k) with
       | Protocol.Need_more -> ()
       | Protocol.Frame _ -> Alcotest.failf "prefix of %d bytes yielded a frame" k
       | Protocol.Frame_error e ->
@@ -798,7 +805,7 @@ let binary_codec_edges () =
   let fits = Protocol.encode_request_frame (big 15) in
   Alcotest.(check bool) "a ~1 MiB frame stays within the bound" true
     (String.length fits - 4 <= Protocol.max_frame_bytes);
-  (match Protocol.extract_frame fits ~pos:0 with
+  (match frame_of_string fits with
   | Protocol.Frame (payload, _) -> (
       match Protocol.decode_requests payload with
       | Ok decoded ->
@@ -810,7 +817,7 @@ let binary_codec_edges () =
   | _ -> Alcotest.fail "max-length frame did not extract");
   let oversized = Protocol.encode_request_frame (big 17) in
   Alcotest.(check bool) "oversized declared length is structural" true
-    (match Protocol.extract_frame oversized ~pos:0 with
+    (match frame_of_string oversized with
     | Protocol.Frame_error _ -> true
     | _ -> false);
   (* a value error is recoverable: the bad request answers ERR parse and
@@ -823,7 +830,7 @@ let binary_codec_edges () =
         Protocol.Entries;
       ]
   in
-  (match Protocol.extract_frame mixed ~pos:0 with
+  (match frame_of_string mixed with
   | Protocol.Frame (payload, _) -> (
       match Protocol.decode_requests payload with
       | Ok [ Error _; Ok Protocol.Entries ] -> ()
@@ -1082,8 +1089,6 @@ let client_survives_server_close () =
 
 (* --------------------- zero-copy I/O path --------------------------- *)
 
-module Iobuf = Dt_runtime.Iobuf
-
 let u32_be_string v =
   let b = Bytes.create 4 in
   Bytes.set_int32_be b 0 (Int32.of_int v);
@@ -1102,7 +1107,7 @@ let prop_encode_into_identical =
          let buf = Iobuf.create ~chunk_size:16 () in
          Protocol.encode_response_frame_into buf lines;
          let into = Iobuf.contents buf in
-         let via_string = Protocol.encode_response_frame lines in
+         let via_string = Reference.Frame.encode_response_frame lines in
          if into <> via_string then
            QCheck2.Test.fail_reportf "response frame diverged:\n%S\n%S" into
              via_string;
@@ -1131,7 +1136,7 @@ let prop_emit_into_identical =
          Iobuf.add_string buf queued;
          Session.emit_into buf ~binary lines;
          let expected =
-           if binary then Protocol.encode_response_frame lines
+           if binary then Reference.Frame.encode_response_frame lines
            else String.concat "" (List.map (fun l -> l ^ "\n") lines)
          in
          Iobuf.contents buf = queued ^ expected))
@@ -1155,7 +1160,7 @@ let prop_frame_of_buf_matches_extract =
            let prefix = String.sub full 0 k in
            let buf = Iobuf.create ~chunk_size:16 () in
            Iobuf.add_string buf prefix;
-           match (Protocol.extract_frame prefix ~pos:0, Protocol.frame_of_buf buf) with
+           match (Reference.Frame.extract_frame prefix ~pos:0, Protocol.frame_of_buf buf) with
            | Protocol.Need_more, Protocol.Need_more ->
                if Iobuf.contents buf <> prefix then
                  QCheck2.Test.fail_reportf "Need_more consumed bytes at %d" k
@@ -1176,7 +1181,7 @@ let frame_error_messages_agree () =
       let bogus = u32_be_string len_field ^ "xx" in
       let buf = Iobuf.create () in
       Iobuf.add_string buf bogus;
-      match (Protocol.extract_frame bogus ~pos:0, Protocol.frame_of_buf buf) with
+      match (Reference.Frame.extract_frame bogus ~pos:0, Protocol.frame_of_buf buf) with
       | Protocol.Frame_error a, Protocol.Frame_error b ->
           Alcotest.(check string) "identical structural error" a b
       | _ -> Alcotest.fail "oversized header must be a structural error")

@@ -169,7 +169,6 @@ let tiled_tasks =
     Dt_core.Task.make ~id:0 ~label:"plain" ~comm:1.5 ~comp:2.25 ();
     Dt_core.Task.make ~id:1 ~label:"tiled" ~comm:3.0 ~comp:1.0 ~mem:4.0
       ~tiles:[ { Dt_core.Task.tile = 5; t_comm = 1.25; t_mem = 2.0 } ]
-      ~writes:[ { Dt_core.Task.tile = 9; t_comm = 0.5; t_mem = 1.0 } ]
       ();
   ]
 
@@ -223,7 +222,11 @@ let integrity_errors () =
   check_error "v2 share overflow" "# dtsched-trace v2 x\n0\tt\t1\t1\t1\t5:2:0.5\t-\n" ~line:2
     ~grep:"exceed";
   check_error "v2 on v1 header" "# dtsched-trace v1 x\n0\tt\t1\t1\t1\t-\t-\n" ~line:2
-    ~grep:"5 tab-separated"
+    ~grep:"5 tab-separated";
+  (* the writes column is reserved: a triple there is no longer read *)
+  check_error "v2 writes triple"
+    "# dtsched-trace v2 x\n0\tt\t1\t1\t1\t-\t-\n1\tu\t1\t1\t2\t5:0.5:1\t9:0.5:1\n" ~line:3
+    ~grep:"writes: reserved column"
 
 let task_list_print tasks =
   String.concat "; " (List.map (fun t -> Format.asprintf "%a" Dt_core.Task.pp t) tasks)
