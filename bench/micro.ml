@@ -63,7 +63,10 @@ let test_local_search =
    pattern, n/2 tasks added and the other n/2 reserved, then one arrival
    per decision. [portfolio]: the index calls of the six indexed rules
    on one n-task instance, recorded once and replayed back to back, as
-   [Auto.select] makes them. *)
+   [Auto.select] makes them through [Greedy]: a bulk load, then per
+   decision the static head (Johnson's order for the three corrected
+   rules, none for the dynamic ones), a select when the head is absent or
+   does not fit, and the removal of the winner. *)
 let candidates_select idx k ~mean_mem =
   let crit = List.nth Dt_core.Dynamic_rules.all (k mod 3) in
   let select ~used ~kcap =
@@ -119,8 +122,8 @@ let test_candidates_interleaved =
           Dt_core.Candidates.release idx))
 
 type call =
-  | Add of Dt_core.Task.t
-  | Find of int
+  | Load of Dt_core.Task.t list
+  | Static_head
   | Select of Dt_core.Candidates.criterion * float * float * float * float
   | Remove of Dt_core.Task.t
 
@@ -130,23 +133,10 @@ let record ?static crit (i : Dt_core.Instance.t) =
   let open Dt_core in
   let capacity = i.Instance.capacity in
   let kcap = capacity *. (1.0 +. 1e-12) and tasks = Instance.task_list i in
-  let st = Sim.initial_state () and idx = Candidates.create () and calls = ref [] in
+  let st = Sim.initial_state () and idx = Candidates.create ?static () and calls = ref [] in
   let log c = calls := c :: !calls in
-  List.iter (fun t -> log (Add t); Candidates.add idx t) tasks;
-  let order =
-    Option.map (fun cmp -> let h = Iheap.create ~cmp in List.iter (Iheap.add h) tasks; h) static
-  in
-  let rec head h =
-    match Iheap.peek h with
-    | None -> None
-    | Some (x : Task.t) -> (
-        log (Find x.Task.id);
-        match Candidates.find idx x.Task.id with
-        | Some y when y == x -> Some x
-        | _ ->
-            ignore (Iheap.pop h);
-            head h)
-  in
+  log (Load tasks);
+  Candidates.load idx tasks;
   let select used =
     let cpu_free = Sim.cpu_free_time st and now = Sim.link_free_time st in
     log (Select (crit, used, kcap, cpu_free, now));
@@ -155,15 +145,11 @@ let record ?static crit (i : Dt_core.Instance.t) =
   while Candidates.size idx > 0 do
     Sim.settle st;
     let used = Sim.memory_in_use st in
+    log Static_head;
     let choice =
-      match order with
-      | None -> select used
-      | Some h -> (
-          match head h with
-          | Some x when used +. x.Task.mem <= kcap ->
-              ignore (Iheap.pop h);
-              Some x
-          | _ -> select used)
+      match Candidates.static_head idx with
+      | Some (x : Task.t) when used +. x.Task.mem <= kcap -> Some x
+      | _ -> select used
     in
     match choice with
     | Some t ->
@@ -173,14 +159,14 @@ let record ?static crit (i : Dt_core.Instance.t) =
     | None -> assert (Sim.advance_to_next_release st)
   done;
   Candidates.release idx;
-  List.rev !calls
+  (static, List.rev !calls)
 
-let replay calls =
-  let idx = Dt_core.Candidates.create () in
+let replay (static, calls) =
+  let idx = Dt_core.Candidates.create ?static () in
   List.iter
     (function
-      | Add t -> Dt_core.Candidates.add idx t
-      | Find id -> ignore (Dt_core.Candidates.find idx id)
+      | Load tasks -> Dt_core.Candidates.load idx tasks
+      | Static_head -> ignore (Dt_core.Candidates.static_head idx)
       | Select (crit, used, kcap, cpu_free, now) ->
           ignore (Dt_core.Candidates.select idx crit ~used ~kcap ~cpu_free ~now)
       | Remove t -> Dt_core.Candidates.remove idx t)
@@ -189,7 +175,8 @@ let replay calls =
 
 (* Runs alternate between two physically distinct copies of the
    instance, so that each run's first rule sorts and the other five
-   reuse its layout. *)
+   reuse its layout, and its first corrected rule sorts Johnson's order
+   for the other two. *)
 let test_candidates_portfolio =
   Test.make_indexed ~name:"portfolio" ~args:[ 800 ] (fun n ->
       let i = instance_of_size n in
@@ -200,7 +187,8 @@ let test_candidates_portfolio =
       let calls i =
         List.map (fun c -> record c i) Dt_core.Dynamic_rules.all
         @ List.map
-            (fun r -> record ~static:Dt_core.Johnson.compare (Dt_core.Corrected_rules.criterion r) i)
+            (fun r ->
+              record ~static:Dt_core.Candidates.Johnson (Dt_core.Corrected_rules.criterion r) i)
             Dt_core.Corrected_rules.all
       in
       let runs = [| calls i; calls copy |] and run = ref 0 in

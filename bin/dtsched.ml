@@ -60,8 +60,27 @@ let heuristic_arg =
           "Heuristic: OOSIM, IOCMS, DOCPS, IOCCS, DOCCS, OS, GG, BP, LCMR, SCMR, MAMR, \
            OOLCMR, OOSCMR, OOMAMR or lp.$(i,k).")
 
+(* A malformed trace is bad input, not a crash: print Trace.load's
+   located message and exit 1, as for an empty trace set. *)
+let loading f =
+  match f () with
+  | v -> v
+  | exception Failure msg ->
+      prerr_endline ("dtsched: " ^ msg);
+      exit 1
+
+let load_trace path = loading (fun () -> Dt_trace.Trace.load path)
+
+let load_set ~dir ~prefix =
+  let set = loading (fun () -> Dt_trace.Trace.load_set ~dir ~prefix) in
+  if Array.length set = 0 then begin
+    Printf.eprintf "no %s-p*.trace files under %s\n" prefix dir;
+    exit 1
+  end;
+  set
+
 let load_instance path ~factor =
-  let trace = Dt_trace.Trace.load path in
+  let trace = load_trace path in
   let m_c = Dt_trace.Trace.min_capacity trace in
   (trace, Dt_trace.Trace.to_instance trace ~capacity:(m_c *. factor))
 
@@ -228,11 +247,7 @@ let gantt_cmd =
 (* ------------------------------------------------------------------ *)
 
 let workchar dir prefix =
-  let set = Dt_trace.Trace.load_set ~dir ~prefix in
-  if Array.length set = 0 then begin
-    Printf.eprintf "no %s-p*.trace files under %s\n" prefix dir;
-    exit 1
-  end;
+  let set = load_set ~dir ~prefix in
   let chars = Dt_trace.Workchar.of_set set in
   let header = [ "trace"; "tasks"; "comm/OMIM"; "comp/OMIM"; "max"; "sum"; "m_c" ] in
   let rows =
@@ -326,11 +341,7 @@ let pool_stats_line pool =
     stats.Dt_par.Pool.jobs stats.Dt_par.Pool.fallbacks
 
 let fleet dir prefix factor domains =
-  let traces = Dt_trace.Trace.load_set ~dir ~prefix in
-  if Array.length traces = 0 then begin
-    Printf.eprintf "no %s-p*.trace files under %s\n" prefix dir;
-    exit 1
-  end;
+  let traces = load_set ~dir ~prefix in
   let run_policy pool policy = Dt_trace.Fleet.run ~capacity_factor:factor ?pool policy traces in
   Result.map
     (fun (submission, portfolio, pool_stats) ->
@@ -401,11 +412,7 @@ let mode_conv =
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Dt_cluster.Link_sim.mode_name m))
 
 let cluster dir prefix factor domains nodes units links bandwidth node_mem mode =
-  let traces = Dt_trace.Trace.load_set ~dir ~prefix in
-  if Array.length traces = 0 then begin
-    Printf.eprintf "no %s-p*.trace files under %s\n" prefix dir;
-    exit 1
-  end;
+  let traces = load_set ~dir ~prefix in
   let max_mc = Array.fold_left (fun a t -> Float.max a (Dt_trace.Trace.min_capacity t)) 0.0 traces in
   let node_mem =
     match node_mem with
@@ -717,6 +724,7 @@ let policy_conv =
 let client host port trace_path rate policy factor binary pipeline gc_stats =
   if pipeline < 1 then Error (`Msg "--pipeline must be positive")
   else
+  let trace = Option.map load_trace trace_path in
   match
     match Dt_runtime.Client.connect ~host ~port () with
     | conn -> Ok conn
@@ -728,10 +736,9 @@ let client host port trace_path rate policy factor binary pipeline gc_stats =
       Fun.protect
         ~finally:(fun () -> Dt_runtime.Client.close conn)
         (fun () ->
-          match trace_path with
-          | Some path ->
+          match trace with
+          | Some trace ->
               (* load-generator mode: replay the trace at the given rate *)
-              let trace = Dt_trace.Trace.load path in
               let r =
                 Dt_runtime.Client.replay conn ~trace ~rate ~policy
                   ~capacity_factor:factor ~binary ~pipeline ()

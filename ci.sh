@@ -94,6 +94,25 @@ wait "$server_pid" 2>/dev/null || true
 kill "$idle2_pid" 2>/dev/null || true
 echo "server shut down cleanly with a client still connected"
 
+echo "== malformed trace smoke =="
+# A malformed trace is an input error: the commands that read traces
+# print Trace.load's located message on stderr and exit 1, instead of
+# dying on an uncaught exception (exit 125).
+mkdir "$tmp/bad"
+printf '# dtsched-trace v1 hf-p000\n0\tq0\t1\t2\t16\n1\tq1\tabc\t2\t16\n' \
+  >"$tmp/bad/hf-p000.trace"
+for cmd in "run -t $tmp/bad/hf-p000.trace" "fleet -d $tmp/bad -p hf"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$DTSCHED" $cmd >/dev/null 2>"$tmp/bad.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q 'hf-p000.trace: line 3: comm: not a number' "$tmp/bad.err"; then
+    echo "FAIL: dtsched $cmd on a malformed trace exited $status:" >&2
+    cat "$tmp/bad.err" >&2
+    exit 1
+  fi
+done
+echo "malformed trace OK: run -t and fleet -d exit 1 with the located message"
+
 echo "== fd-exhaustion smoke =="
 # Out of fds, accept fails with EMFILE while the pending connection
 # keeps the listener readable: a server that keeps polling the listener

@@ -15,28 +15,29 @@ let slices ~batch l =
 
 let run ?lp_node_limit ~batch heuristic instance =
   let capacity = instance.Instance.capacity in
-  let entries = ref [] in
-  (* The executor state after a set of entries is fully determined by the
-     entries themselves; rebuilding it per batch keeps every engine —
-     including lp.k, which works on boundaries rather than states — on the
-     same footing. *)
-  let state_of_entries es =
-    let link_free = List.fold_left (fun acc e -> Float.max acc (Schedule.comm_end e)) 0.0 es
-    and cpu_free = List.fold_left (fun acc e -> Float.max acc (Schedule.comp_end e)) 0.0 es in
-    let held =
-      List.filter_map
-        (fun e ->
-          let ce = Schedule.comp_end e in
-          if ce > link_free then Some (ce, e.Schedule.task.Task.mem) else None)
-        es
-    in
-    Sim.restore_state ~link_free ~cpu_free ~held
+  (* The executor state after the entries so far is determined by the
+     entries themselves, so every engine (lp.k included, which works on
+     boundaries rather than states) starts a batch from the same footing.
+     It is carried from batch to batch: the running link and processor
+     release times, and the entries still holding memory, in entry order.
+     An entry released by the link-free instant stays released, since
+     that instant only grows. *)
+  let rec loop link_free cpu_free held acc = function
+    | [] -> Schedule.make ~capacity (List.rev acc)
+    | tasks :: rest ->
+        let state = Sim.restore_state ~link_free ~cpu_free ~held in
+        let sub = Instance.make_keep_ids ~capacity tasks in
+        let es = Schedule.entries (Heuristic.run ~state ?lp_node_limit heuristic sub) in
+        let link_free = List.fold_left (fun a e -> Float.max a (Schedule.comm_end e)) link_free es
+        and cpu_free = List.fold_left (fun a e -> Float.max a (Schedule.comp_end e)) cpu_free es in
+        let held =
+          List.filter (fun (ce, _) -> ce > link_free) held
+          @ List.filter_map
+              (fun e ->
+                let ce = Schedule.comp_end e in
+                if ce > link_free then Some (ce, e.Schedule.task.Task.mem) else None)
+              es
+        in
+        loop link_free cpu_free held (List.rev_append es acc) rest
   in
-  List.iter
-    (fun tasks ->
-      let sub = Instance.make_keep_ids ~capacity tasks in
-      let state = state_of_entries !entries in
-      let sched = Heuristic.run ~state ?lp_node_limit heuristic sub in
-      entries := !entries @ Schedule.entries sched)
-    (slices ~batch (Instance.task_list instance));
-  Schedule.make ~capacity !entries
+  loop 0.0 0.0 [] [] (slices ~batch (Instance.task_list instance))

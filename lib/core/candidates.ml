@@ -1,10 +1,14 @@
 type criterion = LCMR | SCMR | MAMR
+type order = Johnson | Rank of (Task.t -> int)
 
 (* An immutable layout and a mutable state (see candidates.mli).
 
    The layout's slots hold the tasks known at the last rebuild; it keeps
    the slots in (mem, id), (comm, id) and MAMR order, each slot's
-   position in each, the keys in order and the ids ascending.
+   position in each, the keys in order and the ids ascending. An index
+   with a static order adds the slots in that order, sorted on the first
+   rebuild that needs it and kept with the layout for the next index
+   under the same order.
 
    The state keeps a live, dormant or dead byte per slot and three
    implicit min trees over [leaves] leaves (node k's children are 2k and
@@ -18,11 +22,13 @@ type criterion = LCMR | SCMR | MAMR
          length. SCMR's winner is the first fitting position, LCMR's the
          first fitting one of the last fitting position's comm group;
      ca  over the (comm, id) order: MAMR ranks, for the pruned search
-         when the min-idle filter binds.
+         when the min-idle filter binds;
+     sh  (with a static order only) over the static order: the positions
+         themselves, so that the root is the static head's.
 
    A task that the layout does not hold waits in [pending] until the next
-   [select] or [remove] lays out the pending tasks and the live and
-   dormant members. *)
+   [select], [static_head] or [remove] lays out the pending tasks and the
+   live and dormant members. *)
 
 let dead = '\000'
 let live = '\001'
@@ -40,6 +46,9 @@ type layout = {
   comm_pos : int array; (* by slot *)
   mamr : int array; (* by slot: the MAMR rank *)
   leaves : int; (* the least power of two >= max 1 slots *)
+  mutable static_sort : (order * int array * int array) option;
+      (* the last static order sorted: the slot at each position, and
+         each slot's position *)
 }
 
 module Ids = Hashtbl.Make (Int)
@@ -50,6 +59,10 @@ type t = {
   mutable tm : int array;
   mutable cm : int array;
   mutable ca : int array;
+  mutable static : order option;
+  mutable by_static : int array; (* the slot at each static position *)
+  mutable static_pos : int array; (* by slot *)
+  mutable sh : int array;
   mutable live : int; (* live tasks, pending ones included *)
   mutable pending : Task.t array; (* not in the layout, in add order *)
   mutable pstate : Bytes.t; (* by pending index *)
@@ -117,19 +130,55 @@ let layout_of tasks =
     comm_pos = inverse by_comm;
     mamr = inverse by_mamr;
     leaves = !leaves;
+    static_sort = None;
   }
 
 let empty = layout_of [||]
+
+(* The slots in the static order, ties by id. Johnson's order
+   ({!Johnson.compare}) by keys: the compute-intensive tasks by (comm,
+   id), as the layout already holds them, then the others by (-comp, id). *)
+let static_slots lay order =
+  let id = Array.map (fun (t : Task.t) -> t.Task.id) lay.tasks in
+  match order with
+  | Rank rank -> sorted (Array.map (fun t -> float_of_int (rank t)) lay.tasks) id
+  | Johnson ->
+      let others = sorted (Array.map (fun (t : Task.t) -> -.t.Task.comp) lay.tasks) id in
+      let slots = Array.make (Array.length id) 0 and k = ref 0 in
+      let take ci s =
+        if Task.is_compute_intensive lay.tasks.(s) = ci then begin
+          slots.(!k) <- s;
+          incr k
+        end
+      in
+      Array.iter (take true) lay.by_comm;
+      Array.iter (take false) others;
+      slots
+
+(* The layout's slots in this static order and their positions, sorted
+   once per layout and order: a rank function is the same order only
+   physically. The empty layout is shared by every domain, and never
+   written. *)
+let static_of lay order =
+  let same o = match (o, order) with Johnson, Johnson -> true | Rank f, Rank g -> f == g | _ -> false in
+  match lay.static_sort with
+  | Some (o, slots, pos) when same o -> (slots, pos)
+  | _ ->
+      let slots = static_slots lay order in
+      let pos = inverse slots in
+      if Array.length slots > 0 then lay.static_sort <- Some (order, slots, pos);
+      (slots, pos)
 
 (* Per domain: the last layout built, which a rebuild over physically the
    same task sequence reuses, and the last index handed back. *)
 let memo = Domain.DLS.new_key (fun () -> empty)
 let spare = Domain.DLS.new_key (fun () -> None)
 
-let create () =
+let create ?static () =
   match Domain.DLS.get spare with
   | Some t ->
       Domain.DLS.set spare None;
+      t.static <- static;
       t
   | None ->
       {
@@ -138,6 +187,10 @@ let create () =
         tm = [||];
         cm = [||];
         ca = [||];
+        static;
+        by_static = [||];
+        static_pos = [||];
+        sh = [||];
         live = 0;
         pending = Array.make 16 Task.filler;
         pstate = Bytes.make 16 dead;
@@ -147,6 +200,8 @@ let create () =
 
 let release t =
   t.lay <- empty;
+  t.by_static <- [||];
+  t.static_pos <- [||];
   t.live <- 0;
   t.npending <- 0;
   Ids.clear t.pids;
@@ -174,7 +229,11 @@ let set_live t s on =
   let rank = if on then lay.mamr.(s) else max_int in
   write t.tm lay.leaves lay.mem_pos.(s) rank;
   write t.cm lay.leaves lay.comm_pos.(s) (if on then lay.mem_pos.(s) else max_int);
-  write t.ca lay.leaves lay.comm_pos.(s) rank
+  write t.ca lay.leaves lay.comm_pos.(s) rank;
+  if Option.is_some t.static then begin
+    let p = t.static_pos.(s) in
+    write t.sh lay.leaves p (if on then p else max_int)
+  end
 
 let init_trees t =
   let lay = t.lay and leaves = t.lay.leaves in
@@ -198,7 +257,22 @@ let init_trees t =
     tm.(k) <- imin tm.(2 * k) tm.((2 * k) + 1);
     cm.(k) <- imin cm.(2 * k) cm.((2 * k) + 1);
     ca.(k) <- imin ca.(2 * k) ca.((2 * k) + 1)
-  done
+  done;
+  match t.static with
+  | None -> ()
+  | Some order ->
+      let by_static, pos = static_of lay order in
+      t.by_static <- by_static;
+      t.static_pos <- pos;
+      if Array.length t.sh < 2 * leaves then t.sh <- Array.make (2 * leaves) max_int;
+      let sh = t.sh in
+      Array.fill sh leaves leaves max_int;
+      for s = 0 to Array.length lay.tasks - 1 do
+        if Bytes.get t.state s = live then sh.(leaves + pos.(s)) <- pos.(s)
+      done;
+      for k = leaves - 1 downto 1 do
+        sh.(k) <- imin sh.(2 * k) sh.((2 * k) + 1)
+      done
 
 let push t task st =
   let i = t.npending in
@@ -293,6 +367,21 @@ let enter t (task : Task.t) target =
 let add t task = enter t task live
 let reserve t task = enter t task dormant
 
+let load t tasks =
+  List.iter
+    (fun task ->
+      push t task live;
+      t.live <- t.live + 1)
+    tasks;
+  rebuild t;
+  (* the slots are the list positions, and the ids' sort is stable: the
+     list's first repeated id is its least slot that follows an equal id *)
+  let lay = t.lay and first = ref max_int in
+  for i = 1 to Array.length lay.ids - 1 do
+    if lay.ids.(i) = lay.ids.(i - 1) then first := imin !first lay.by_id.(i)
+  done;
+  if !first < max_int then duplicate live lay.tasks.(!first).Task.id
+
 let remove t (task : Task.t) =
   let id = task.Task.id in
   if pending_index t id >= 0 then rebuild t;
@@ -304,6 +393,13 @@ let remove t (task : Task.t) =
     t.live <- t.live - 1
   end;
   Bytes.set t.state s dead
+
+let static_head t =
+  if t.live = 0 || Option.is_none t.static then None
+  else begin
+    if t.npending > 0 then rebuild t;
+    Some t.lay.tasks.(t.by_static.(t.sh.(1)))
+  end
 
 (* Searches of cm (and ca) below node k, which covers the (comm, id)
    positions [lo, lo + w). A position is fitting iff its (mem, id)

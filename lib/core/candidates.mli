@@ -30,20 +30,32 @@
     task the layout holds writes its leaves and their root paths:
     O(log n), no allocation.
 
+    {b Static order.} An index created with a static order (the
+    corrected heuristics' Johnson order, or an explicit rank) also keeps
+    the layout's tasks in that order, and a fourth min tree over its
+    positions whose root is the first live task: {!static_head} reads it
+    in O(1), and every removal, arrival and revival writes it with the
+    other three. The order is sorted on the first rebuild that needs it
+    and kept with the layout, so that the three corrected rules of a
+    portfolio sort an instance once, by keys, with no comparator
+    closure. An index without a static order sorts nothing more and
+    keeps no fourth tree.
+
     {b Dormant tasks.} {!reserve} makes a task known but not selectable;
     {!add} later makes it live in O(log n). A loop that knows its future
     arrivals reserves them, so that an arrival costs no rebuild.
 
     {b Rebuilds.} A task the layout does not hold waits, pending, until
-    the next {!select} or {!remove} lays out the pending tasks and the
-    live and dormant ones; {!find} and {!size} see it at once. A rebuild
+    the next {!select}, {!static_head} or {!remove} lays out the pending
+    tasks and the live and dormant ones; {!find} and {!size} see it at
+    once. A rebuild
     reuses the layout last built on the calling domain when it lays out
     physically the same task sequence, in O(n); otherwise it sorts, in
     O(n log n). So the six indexed rules of a portfolio
     ({!Auto.select}), like the six configurations of {!Cached_rules},
-    sort an instance once. Only never-seen tasks wait for a rebuild: an
-    offline run's initial load, a served session's [SUBMIT]s before its
-    [DRAIN].
+    sort an instance once. Only never-seen tasks need a rebuild: an
+    offline run's tasks, which {!load} lays out at once, and a served
+    session's [SUBMIT]s before its [DRAIN].
 
     {b Arrays.} {!release} hands the index's arrays to the next
     {!create} on the same domain, so that a sequence of runs allocates
@@ -64,9 +76,18 @@ type criterion =
   | SCMR  (** smallest communication time *)
   | MAMR  (** maximum acceleration, i.e. ratio computation/communication *)
 
-val create : unit -> t
+(** A static order on the tasks, read by {!static_head}. *)
+type order =
+  | Johnson  (** Johnson's OMIM order, {!Johnson.compare} *)
+  | Rank of (Task.t -> int)
+      (** ascending rank, ties by smaller id; the function must be
+          defined on every task the index is given. Two [Rank]s are the
+          same order only if their functions are physically equal. *)
+
+val create : ?static:order -> unit -> t
 (** An empty index, on the arrays of the last index {!release}d on this
-    domain if there is one. *)
+    domain if there is one. [static] (default: none) is the order
+    {!static_head} follows. *)
 
 val release : t -> unit
 (** Hand the index's arrays to the next {!create} on this domain. The
@@ -84,6 +105,14 @@ val add : t -> Task.t -> unit
     [Invalid_argument "Candidates.add: duplicate task id <id>"] at once
     when a live task, or a dormant task other than this one, has its id. *)
 
+val load : t -> Task.t list -> unit
+(** Make every task of the list live in a new index: [List.iter (add t)],
+    laid out at once (from the domain's memo when it holds physically
+    this sequence) instead of waiting, pending, for the next rebuild.
+    Raises [Invalid_argument "Candidates.add: duplicate task id <id>"],
+    with the id of the list's first task whose id an earlier task has,
+    as [List.iter (add t)] does; the index must then be dropped. *)
+
 val reserve : t -> Task.t -> unit
 (** Make a task dormant: known to the index, so that {!add} makes it
     live in O(log n), but never selected before. Raises
@@ -95,6 +124,11 @@ val remove : t -> Task.t -> unit
     after a rebuild if that task is pending. Raises
     [Invalid_argument "Candidates.remove: unknown task id <id>"] when no
     task with its id is present. *)
+
+val static_head : t -> Task.t option
+(** The first live task under the index's static order; [None] without a
+    static order or a live task. Rebuilds first if a task is pending;
+    then O(1). *)
 
 val select :
   ?min_idle_filter:bool ->

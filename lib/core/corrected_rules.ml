@@ -15,19 +15,17 @@ let criterion = function
   | OOSCMR -> Dynamic_rules.SCMR
   | OOMAMR -> Dynamic_rules.MAMR
 
-(* The position in an explicit order, as a comparator for the loop's
-   static heap. *)
-let rank_compare order =
+(* The position in an explicit order, as the loop's static rank. *)
+let rank_of order =
   let rank = Hashtbl.create 64 in
   List.iteri (fun i (t : Task.t) -> Hashtbl.replace rank t.Task.id i) order;
-  fun (a : Task.t) (b : Task.t) ->
-    Int.compare (Hashtbl.find rank a.Task.id) (Hashtbl.find rank b.Task.id)
+  fun (t : Task.t) -> Hashtbl.find rank t.Task.id
 
 let run ?state ?order rule instance =
   let tasks, static =
     match order with
-    | Some o -> (o, rank_compare o)
-    | None -> (Instance.task_list instance, Johnson.compare)
+    | Some o -> (o, Candidates.Rank (rank_of o))
+    | None -> (Instance.task_list instance, Candidates.Johnson)
   in
   Greedy.run ~who:"Corrected_rules.run" ?state ~static ~capacity:instance.Instance.capacity
     (criterion rule) tasks

@@ -6,11 +6,7 @@ type t = {
   crit : Candidates.criterion;
   min_idle_filter : bool option;
   st : Sim.state;
-  cand : Candidates.t; (* arrived, unscheduled *)
-  (* corrected heuristics only: the arrived tasks under the static order.
-     A task a correction schedules out of turn stays in place and is
-     dropped when it reaches the top. *)
-  order : Task.t Iheap.t option;
+  cand : Candidates.t; (* arrived, unscheduled, under the static order if any *)
   future : waiting Iheap.t; (* added, not yet arrived (dormant), by arrival *)
 }
 
@@ -21,19 +17,14 @@ let create ?(state = Sim.initial_state ()) ?min_idle_filter ?static ~capacity cr
     crit;
     min_idle_filter;
     st = state;
-    cand = Candidates.create ();
-    order = Option.map (fun cmp -> Iheap.create ~cmp) static;
+    cand = Candidates.create ?static ();
     future = Iheap.create ~cmp:(fun a b -> Float.compare a.arrival b.arrival);
   }
 
 let mem g id = Option.is_some (Candidates.find g.cand id)
 
-let arrive g task =
-  Candidates.add g.cand task;
-  match g.order with Some h -> Iheap.add h task | None -> ()
-
 let add g ~arrival (task : Task.t) =
-  if arrival <= Sim.link_free_time g.st then arrive g task
+  if arrival <= Sim.link_free_time g.st then Candidates.add g.cand task
   else begin
     Candidates.reserve g.cand task;
     Iheap.add g.future { arrival; task }
@@ -43,37 +34,21 @@ let rec promote g =
   match Iheap.peek g.future with
   | Some w when w.arrival <= Sim.link_free_time g.st ->
       ignore (Iheap.pop g.future);
-      arrive g w.task;
+      Candidates.add g.cand w.task;
       promote g
   | _ -> ()
-
-(* The static order's head among the arrived, unscheduled tasks. An entry
-   is live only if the candidate index holds that very task: after a
-   correction scheduled it, its id may be reused by a later task. *)
-let rec head g h =
-  match Iheap.peek h with
-  | None -> None
-  | Some x -> (
-      match Candidates.find g.cand x.Task.id with
-      | Some y when y == x -> Some x
-      | _ ->
-          ignore (Iheap.pop h);
-          head g h)
 
 let select g ~used =
   Candidates.select ?min_idle_filter:g.min_idle_filter g.cand g.crit ~used ~kcap:g.kcap
     ~cpu_free:(Sim.cpu_free_time g.st) ~now:(Sim.link_free_time g.st)
 
+(* The static order's head among the arrived tasks if it fits, else the
+   criterion's choice. *)
 let choose g =
   let used = Sim.memory_in_use g.st in
-  match g.order with
-  | None -> select g ~used
-  | Some h -> (
-      match head g h with
-      | Some next when used +. next.Task.mem <= g.kcap ->
-          ignore (Iheap.pop h);
-          Some next
-      | _ -> select g ~used)
+  match Candidates.static_head g.cand with
+  | Some next when used +. next.Task.mem <= g.kcap -> Some next
+  | _ -> select g ~used
 
 (* One decision point: schedule a task, or advance time to the next event
    and retry, or report that nothing is pending. *)
@@ -117,7 +92,8 @@ let run ~who ?state ?min_idle_filter ?static ~capacity crit tasks =
              capacity))
     tasks;
   let g = create ?state ?min_idle_filter ?static ~capacity crit in
-  List.iter (add g ~arrival:0.0) tasks;
+  (* every task arrives at 0, at or before the link-free instant *)
+  Candidates.load g.cand tasks;
   let entries = drain g in
   Candidates.release g.cand;
   Schedule.make ~capacity entries

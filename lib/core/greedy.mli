@@ -6,7 +6,8 @@
     schedules one arrived task:
 
     - under a static order (the corrected heuristics), the order's head
-      among the arrived tasks, if it fits in the free memory;
+      among the arrived tasks ({!Candidates.static_head}, O(1)), if it
+      fits in the free memory;
     - otherwise the task {!Candidates.select} picks among the arrived
       tasks that fit.
 
@@ -21,14 +22,14 @@ type t
 val create :
   ?state:Sim.state ->
   ?min_idle_filter:bool ->
-  ?static:(Task.t -> Task.t -> int) ->
+  ?static:Candidates.order ->
   capacity:float ->
   Candidates.criterion ->
   t
 (** An empty loop that schedules on [state] (default: everything free at
-    [0.]). [static] is the static order of a corrected heuristic, a total
-    order on the pending tasks; without it the loop is a dynamic
-    heuristic. [min_idle_filter] is passed to {!Candidates.select}. *)
+    [0.]). [static] is the static order of a corrected heuristic, kept by
+    the candidate index; without it the loop is a dynamic heuristic.
+    [min_idle_filter] is passed to {!Candidates.select}. *)
 
 val mem : t -> int -> bool
 (** Is a task with this id pending (added, not yet scheduled)? *)
@@ -50,11 +51,13 @@ val run :
   who:string ->
   ?state:Sim.state ->
   ?min_idle_filter:bool ->
-  ?static:(Task.t -> Task.t -> int) ->
+  ?static:Candidates.order ->
   capacity:float ->
   Candidates.criterion ->
   Task.t list ->
   Schedule.t
-(** The offline heuristic: add every task at arrival [0.] and drain.
-    Raises [Invalid_argument "<who>: task <id> needs <mem> > capacity
-    <capacity>"] when a task alone exceeds the capacity. *)
+(** The offline heuristic: add every task at arrival [0.], in one
+    {!Candidates.load}, and drain. Raises [Invalid_argument "<who>: task
+    <id> needs <mem> > capacity <capacity>"] when a task alone exceeds
+    the capacity, and {!Candidates.load}'s [Invalid_argument] when two
+    tasks share an id. *)

@@ -1,9 +1,10 @@
 (** Binary min-heaps.
 
-    The priority queues of the greedy decision loop ({!Greedy}) and of
-    the cluster event simulator. Elements are only ever consumed from the
-    top: a caller that must retire an element early leaves it in place
-    and drops it when it surfaces.
+    The priority queues of the greedy decision loop's future arrivals
+    ({!Greedy}), of the residency set's eviction stamps ({!Residency})
+    and of the cluster event simulator. Elements are only ever consumed
+    from the top: a caller that must retire an element early leaves it
+    in place and drops it when it surfaces.
 
     The comparator must be a total preorder; equal elements are served
     in an unspecified but deterministic order, so callers that need a

@@ -52,7 +52,7 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
     match policy with
     | Dynamic c -> Greedy.create ~state:st ~capacity c
     | Corrected r ->
-        Greedy.create ~state:st ~static:Johnson.compare ~capacity
+        Greedy.create ~state:st ~static:Candidates.Johnson ~capacity
           (Corrected_rules.criterion r)
   in
   {

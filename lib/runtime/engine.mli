@@ -69,8 +69,10 @@ val submit : t -> ?arrival:float -> Dt_core.Task.t -> admission
     and raises [Invalid_argument "Engine.submit: duplicate pending task
     id <id>"]. Ids of already-scheduled tasks may be reused. An
     accepted task becomes visible to the scheduler only once virtual time
-    reaches its arrival. O(log n) per submission, arrivals in any
-    order. *)
+    reaches its arrival. A task arriving by {!now} costs O(1) amortized
+    (it waits, pending, for the next decision to lay it out with the
+    static order), one arriving later O(log n) (the arrival heap);
+    arrivals may come in any order. *)
 
 val pending : t -> int
 (** Submitted tasks not yet scheduled (arrived or not). *)

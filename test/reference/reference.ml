@@ -2,8 +2,9 @@
    as the behavioural reference: the O(n log n) loop must produce
    bit-identical schedules, which Test_equiv pins with QCheck properties
    against these copies, and the core-scaling bench times them as its
-   "before" numbers; the same holds for the eviction fold ([Res]) and the
-   string frame codecs ([Frame]). Do not
+   "before" numbers; the same holds for the eviction fold ([Res]), the
+   per-batch state rebuild ([Batch]) and the string frame codecs
+   ([Frame]). Do not
    "fix" or modernise this file — its value is that it does not
    change. *)
 
@@ -501,6 +502,35 @@ module Sched = struct
     in
     Array.sort cmp entries;
     entries
+end
+
+(* Old Batched.run: the executor state rebuilt at every batch from all
+   the entries so far (two folds and a filter_map over them), and each
+   batch's entries appended with [@]: O(n²/batch). *)
+module Batch = struct
+  let run ?lp_node_limit ~batch heuristic instance =
+    let capacity = instance.Instance.capacity in
+    let entries = ref [] in
+    let state_of_entries es =
+      let link_free = List.fold_left (fun acc e -> Float.max acc (Schedule.comm_end e)) 0.0 es
+      and cpu_free = List.fold_left (fun acc e -> Float.max acc (Schedule.comp_end e)) 0.0 es in
+      let held =
+        List.filter_map
+          (fun e ->
+            let ce = Schedule.comp_end e in
+            if ce > link_free then Some (ce, e.Schedule.task.Task.mem) else None)
+          es
+      in
+      Sim.restore_state ~link_free ~cpu_free ~held
+    in
+    List.iter
+      (fun tasks ->
+        let sub = Instance.make_keep_ids ~capacity tasks in
+        let state = state_of_entries !entries in
+        let sched = Heuristic.run ~state ?lp_node_limit heuristic sub in
+        entries := !entries @ Schedule.entries sched)
+      (Batched.slices ~batch (Instance.task_list instance));
+    Schedule.make ~capacity !entries
 end
 
 (* The string frame codecs that [Protocol.frame_of_buf] and

@@ -62,6 +62,28 @@ let prop_batched_never_beats_omim =
         (fun h -> Metrics.ratio instance (Batched.run ~batch:2 h instance) >= 1.0 -. 1e-9)
         Heuristic.all)
 
+(* The one-pass run against the frozen per-batch rebuild
+   ([Reference.Batch]): every entry the same task at the same times, bit
+   for bit, for every heuristic but lp.k. *)
+let prop_batched_reference =
+  let bits x = Int64.bits_of_float x in
+  let same (a : Schedule.entry) (b : Schedule.entry) =
+    a.Schedule.task == b.Schedule.task
+    && bits a.Schedule.s_comm = bits b.Schedule.s_comm
+    && bits a.Schedule.s_comp = bits b.Schedule.s_comp
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"one-pass batches = per-batch rebuild, bit for bit"
+       ~print:(fun (i, batch) -> Printf.sprintf "batch=%d %s" batch (Generators.instance_print i))
+       QCheck2.Gen.(pair (Generators.instance_gen ~min_size:1 ~max_size:30 ()) (int_range 1 7))
+       (fun (instance, batch) ->
+         List.for_all
+           (fun h ->
+             let got = Schedule.entries (Batched.run ~batch h instance)
+             and want = Schedule.entries (Reference.Batch.run ~batch h instance) in
+             List.length got = List.length want && List.for_all2 same got want)
+           Heuristic.all))
+
 let suite =
   [
     Alcotest.test_case "slices" `Quick slices_shapes;
@@ -70,4 +92,5 @@ let suite =
     prop_batched_valid;
     prop_batched_full_equals_plain;
     prop_batched_never_beats_omim;
+    prop_batched_reference;
   ]

@@ -1,5 +1,5 @@
 (* Equivalence pinning for the O(n log n) decision loop: the shared
-   greedy loop (Candidates index, arrival heap, static-order heap) must
+   greedy loop (Candidates index with its static head, arrival heap) must
    produce bit-identical schedules to the frozen quadratic copies in
    Reference, on every policy, with and without the min-idle filter, and
    under random arrival times. *)
@@ -118,6 +118,21 @@ let corrected_order_prop rule =
     ~print:order_print order_gen
     (fun (i, order) ->
       same_schedule (Corrected_rules.run ~order rule i) (Reference.Cor.run ~order rule i))
+
+(* Two static orders on one task sequence share its layout but never its
+   static order: the explicit order here is the instance's own task
+   sequence, so the default run and the ?order run lay out physically the
+   same tasks, one after the other on one domain. *)
+let corrected_two_orders_prop =
+  Generators.prop_test ~count:200
+    ~name:"Corrected default and ?order in turn on one task sequence = reference"
+    instance_gen (fun i ->
+      let order = Instance.task_list i in
+      let default r = same_schedule (Corrected_rules.run r i) (Reference.Cor.run r i)
+      and ordered r =
+        same_schedule (Corrected_rules.run ~order r i) (Reference.Cor.run ~order r i)
+      in
+      List.for_all (fun r -> default r && ordered r && default r) Corrected_rules.all)
 
 (* A state handed over from an earlier batch: the link and the processor
    busy for a while, and up to two tasks still holding memory, released
@@ -247,7 +262,9 @@ let cached_prop criterion filter =
    an idle floor. The model's selection is the frozen list scan over the
    fitting live tasks, after the floor rule of candidates.mli: with the
    filter on, tasks idle beyond [Float.min least floor +. 1e-12] drop
-   out. *)
+   out. An index with a static order (Johnson's, or a random rank with
+   ties) must also name, after every operation, the model's least live
+   task under that order as its static head. *)
 type spec = { s_comm : float; s_comp : float; s_mem : float }
 
 type query = {
@@ -341,13 +358,44 @@ let index_cases =
     "arrival of a reserved task";
   |]
 
+(* The static order of a model run: none, Johnson's, or a rank by
+   [id mod 16] from this table, ties by id. *)
+type static = No_static | Johnson_order | Ranks of int array
+
+let static_print = function
+  | No_static -> "no static order"
+  | Johnson_order -> "static Johnson"
+  | Ranks r ->
+      Printf.sprintf "static ranks [%s]"
+        (String.concat "; " (Array.to_list (Array.map string_of_int r)))
+
+let static_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return No_static;
+        return Johnson_order;
+        map (fun r -> Ranks r) (array_repeat 16 (int_range 0 7));
+      ])
+
 (* Runs [ops] on an index and on the model. Besides the live and dormant
    tasks, the model tracks the layout (the tasks present at the last
    rebuild: adding one of them again takes no rebuild) and the pending
    tasks (the others, added since), so that it can count in [cases] the
    index paths the operations took. *)
-let index_matches_model cases ops =
-  let idx = Candidates.create () in
+let index_matches_model cases (static, ops) =
+  (* the index's static order, and the model's "comes before" *)
+  let static =
+    match static with
+    | No_static -> None
+    | Johnson_order -> Some (Candidates.Johnson, fun a b -> Johnson.compare a b < 0)
+    | Ranks r ->
+        let rank (t : Task.t) = r.(t.Task.id mod 16) in
+        Some
+          ( Candidates.Rank rank,
+            fun (a : Task.t) (b : Task.t) -> (rank a, a.Task.id) < (rank b, b.Task.id) )
+  in
+  let idx = Candidates.create ?static:(Option.map fst static) () in
   let live = ref [] and dormant = ref [] and removed = ref [] in
   let laid = ref [] and pending = ref [] in
   let next_absent = ref 1_000_000 in
@@ -437,6 +485,22 @@ let index_matches_model cases ops =
             (match got with Some t -> string_of_int t.Task.id | None -> "none")
             (match want with Some t -> string_of_int t.Task.id | None -> "none")
     | Arrive _ | Readd _ | Add_present _ | Remove _ -> ());
+    (match static with
+    | None -> ()
+    | Some (_, before) ->
+        (* the head is read from the layout: a rebuild when a task is
+           pending and one is live *)
+        if !live <> [] then rebuild ();
+        let want =
+          List.fold_left
+            (fun m t -> match m with Some u when not (before t u) -> m | _ -> Some t)
+            None !live
+        in
+        let got = Candidates.static_head idx in
+        if not (Option.equal ( == ) got want) then
+          QCheck2.Test.fail_reportf "after %s: static head %s, model %s" (op_print op)
+            (match got with Some t -> string_of_int t.Task.id | None -> "none")
+            (match want with Some t -> string_of_int t.Task.id | None -> "none"));
     let top = List.fold_left (fun a (t : Task.t) -> max a t.Task.id) 0 (present ()) in
     Candidates.size idx = List.length !live
     && List.for_all
@@ -454,8 +518,9 @@ let candidates_model =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:500 ~name:"Candidates = task-list model, every index path"
-         ~print:(fun ops -> String.concat "\n" (List.map op_print ops))
-         QCheck2.Gen.(list_size (int_range 1 80) op_gen)
+         ~print:(fun (static, ops) ->
+           String.concat "\n" (static_print static :: List.map op_print ops))
+         QCheck2.Gen.(pair static_gen (list_size (int_range 1 80) op_gen))
          (index_matches_model cases))
   in
   ( name,
@@ -532,7 +597,12 @@ let duplicate_order_rejected () =
   let i = Instance.make ~capacity:10.0 [ Task.make ~id:0 ~comm:1.0 ~comp:1.0 () ] in
   Alcotest.check_raises "duplicate ids in the override order"
     (Invalid_argument "Candidates.add: duplicate task id 0") (fun () ->
-      ignore (Corrected_rules.run ~order:[ t0; t0' ] Corrected_rules.OOSCMR i))
+      ignore (Corrected_rules.run ~order:[ t0; t0' ] Corrected_rules.OOSCMR i));
+  (* the first repeat in list order is named, as task-by-task adds do *)
+  let t id = Task.make ~id ~comm:1.0 ~comp:1.0 () in
+  Alcotest.check_raises "first repeated id in list order"
+    (Invalid_argument "Candidates.add: duplicate task id 5") (fun () ->
+      ignore (Corrected_rules.run ~order:[ t 5; t 3; t 5; t 3 ] Corrected_rules.OOSCMR i))
 
 let duplicate_submit_rejected () =
   let eng = Engine.create ~capacity:10.0 () in
@@ -549,6 +619,30 @@ let duplicate_submit_rejected () =
   match Engine.submit eng (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ()) with
   | Engine.Accepted -> ()
   | _ -> Alcotest.fail "id reuse after scheduling rejected"
+
+(* A task that a correction scheduled out of turn, submitted again (the
+   same record) with a later arrival, waits for that arrival: the static
+   head is read among the arrived tasks only. D holds memory, so C, the
+   head, does not fit and A goes out of turn; C follows once D and A are
+   done. A then comes back at 1000, E at 0. *)
+let resubmitted_task_waits () =
+  let task id comm mem = Task.make ~id ~comm ~comp:5.0 ~mem () in
+  let d = task 0 1.0 5.0 and c = task 1 2.0 10.0 and a = task 2 3.0 1.0 and e = task 3 4.0 1.0 in
+  let policy = Engine.Corrected Corrected_rules.OOSCMR in
+  let eng = Engine.create ~policy ~capacity:10.0 ()
+  and reference = Reference.Eng.create ~policy ~capacity:10.0 () in
+  let submit task arrival =
+    ignore (Engine.submit eng ~arrival task);
+    Reference.Eng.submit reference ~arrival task
+  in
+  List.iter (fun t -> submit t 0.0) [ d; c; a ];
+  Alcotest.(check bool) "first drain = reference" true
+    (same_schedule (Engine.drain eng) (Reference.Eng.drain reference));
+  submit a 1000.0;
+  submit e 0.0;
+  Alcotest.(check bool) "second drain = reference" true
+    (same_schedule (Engine.drain eng) (Reference.Eng.drain reference));
+  Alcotest.(check int) "each submission scheduled once" 5 (Engine.scheduled eng)
 
 (* Entries on small grids, so that [s_comm] and [s_comp] often tie and
    ids repeat (the Engine reuses ids across drains). *)
@@ -606,6 +700,7 @@ let suite =
       List.map engine_prop Engine.all_policies;
       [ reversed_replay_prop ];
       List.map corrected_order_prop Corrected_rules.all;
+      [ corrected_two_orders_prop ];
       [ dynamic_state_prop; corrected_state_prop ];
       List.map engine_two_batch_prop Engine.all_policies;
       List.concat_map
@@ -616,6 +711,8 @@ let suite =
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;
+        Alcotest.test_case "a resubmitted task waits for its new arrival" `Quick
+          resubmitted_task_waits;
         schedule_make_prop;
         memo_invisible;
         Alcotest.test_case "Candidates memo and spare arrays: pooled fleet = fresh runs" `Quick
