@@ -290,9 +290,10 @@ let alloc_budget = 400.0
 
 (* The same for the cached loop (SCMR under both eviction policies) on
    the 5k reuse stream. Its warm pass allocates nothing, so it reads
-   ~320: the cached simulator's events, tile lists and eviction stamps
-   on top of the flat loop's; the list scan of the warm set it replaced
-   read 1,774 (min-refetch) and 2,762 (lru). *)
+   ~210: the cached simulator's events, slot arrays and eviction stamps
+   on top of the flat loop's (~320 before the loop read tile state by
+   slot and made one index select per decision); the list scan of the
+   warm set it replaced read 1,774 (min-refetch) and 2,762 (lru). *)
 let cached_alloc_budget = 600.0
 
 (* One run of [f]: its minor words per task, the minor collections it

@@ -217,6 +217,17 @@ let test_residency_evict =
           | Some tile -> Dt_core.Residency.evict res tile
           | None -> assert false))
 
+(* The cached decision loop whole: [Cached_rules.run] SCMR+lru on the
+   reuse sweep's task stream at core-smoke's reuse factor (4), n = 800:
+   the warm pass, the index select and the executor together. *)
+let test_cached_run =
+  Test.make_indexed ~name:"run" ~args:[ 800 ] (fun n ->
+      let instance, _ = Reuse.instance ~n Core_scaling.cached_reuse in
+      Staged.stage (fun () ->
+          ignore
+            (Dt_core.Cached_rules.run ~policy:Dt_core.Residency.Lru Dt_core.Dynamic_rules.SCMR
+               instance)))
+
 let run () =
   Printf.printf "\n== micro: heuristic scheduling cost (bechamel) ==\n\n";
   let tests =
@@ -228,6 +239,7 @@ let run () =
         Test.make_grouped ~name:"candidates"
           [ test_candidates_drain; test_candidates_interleaved; test_candidates_portfolio ];
         Test.make_grouped ~name:"residency" [ test_residency_evict ];
+        Test.make_grouped ~name:"cached" [ test_cached_run ];
       ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in

@@ -111,7 +111,22 @@ for cmd in "run -t $tmp/bad/hf-p000.trace" "fleet -d $tmp/bad -p hf"; do
     exit 1
   fi
 done
-echo "malformed trace OK: run -t and fleet -d exit 1 with the located message"
+# A trace path that cannot be read (here a directory) is an input error
+# too: exit 1 with the path in the message.
+mkdir -p "$tmp/dirset/hf-p000.trace"
+for item in "run -t $tmp/bad|$tmp/bad" "fleet -d $tmp/dirset -p hf|$tmp/dirset/hf-p000.trace"; do
+  cmd=${item%|*}
+  path=${item#*|}
+  status=0
+  # shellcheck disable=SC2086
+  "$DTSCHED" $cmd >/dev/null 2>"$tmp/bad.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF "Trace.load: $path: Is a directory" "$tmp/bad.err"; then
+    echo "FAIL: dtsched $cmd on a directory exited $status:" >&2
+    cat "$tmp/bad.err" >&2
+    exit 1
+  fi
+done
+echo "malformed trace OK: run -t and fleet -d exit 1 with the located message, directories too"
 
 echo "== fd-exhaustion smoke =="
 # Out of fds, accept fails with EMFILE while the pending connection

@@ -7,12 +7,16 @@
     {!Sim.cached_unevictable}), min-idle filtered like
     {!Candidates.select}.
 
-    The unscheduled tasks with no resident input tile ("cold") sit in a
-    {!Candidates} index, where their effective values are their static
-    ones bit for bit; the others ("warm") sit in a slot array. Scheduling
-    a task warms up the readers of its tiles; a warm task found with no
-    resident input tile returns to the index. A decision costs O(log n) for the index plus one pass over the warm
-    tasks' input tiles, one {!Residency.pins} lookup per tile and no
+    A run interns the instance's tiles into {!Residency} slots once, at
+    start. The unscheduled tasks with no resident input tile ("cold") sit
+    in a {!Candidates} index, where their effective values are their
+    static ones bit for bit; the others ("warm") sit in a slot array.
+    Scheduling a task warms up the readers of its tiles (an array by tile
+    slot); a warm task found with no resident input tile returns to the
+    index. A decision costs one index select, O(log n), which also hands
+    back the min-idle bound of the union ({!Candidates.select}'s
+    [bound]), plus one pass over the warm tasks' input tiles, an array
+    read of each tile's pin count ({!Residency.slot_pins}) and no
     allocation, against a fit test and an effective comm (up to four
     table lookups per tile) for every remaining task in a full scan; it
     takes the same decision as that scan (QCheck-pinned against a frozen

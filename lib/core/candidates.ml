@@ -1,5 +1,6 @@
 type criterion = LCMR | SCMR | MAMR
 type order = Johnson | Rank of (Task.t -> int)
+type bound = { mutable bound : float }
 
 (* An immutable layout and a mutable state (see candidates.mli).
 
@@ -181,12 +182,14 @@ let create ?static () =
       t.static <- static;
       t
   | None ->
+      (* trees for the empty layout's one leaf, so that a select before
+         the first rebuild finds no task *)
       {
         lay = empty;
         state = Bytes.empty;
-        tm = [||];
-        cm = [||];
-        ca = [||];
+        tm = Array.make 2 max_int;
+        cm = Array.make 2 max_int;
+        ca = Array.make 2 max_int;
         static;
         by_static = [||];
         static_pos = [||];
@@ -470,7 +473,7 @@ let winner t crit kfit lo e =
 
 let[@inline] idle ~now ~cpu_free c = Float.max 0.0 (now +. c -. cpu_free)
 
-let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) t crit ~used ~kcap
+let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) ?bound t crit ~used ~kcap
     ~cpu_free ~now =
   if t.npending > 0 then rebuild t;
   let lay = t.lay in
@@ -483,7 +486,10 @@ let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) t crit ~used
   done;
   let kfit = !a in
   let lo = first_fitting t.cm kfit 0 1 0 lay.leaves in
-  if lo < 0 then None
+  if lo < 0 then begin
+    (match bound with Some c when min_idle_filter -> c.bound <- idle_floor +. 1e-12 | _ -> ());
+    None
+  end
   else if not min_idle_filter then Some lay.tasks.(winner t crit kfit lo n)
   else
     (* the exact expressions of the original list scan, so that the
@@ -491,15 +497,16 @@ let select ?(min_idle_filter = true) ?(idle_floor = Float.infinity) t crit ~used
        idle time of the fitting tasks, the floor stands for tasks outside
        the index *)
     let least_idle = idle ~now ~cpu_free lay.comms.(lo) in
-    let bound = Float.min least_idle idle_floor +. 1e-12 in
-    if not (least_idle <= bound) then None (* the floor excludes every fitting task *)
+    let limit = Float.min least_idle idle_floor +. 1e-12 in
+    (match bound with Some c -> c.bound <- limit | None -> ());
+    if not (least_idle <= limit) then None (* the floor excludes every fitting task *)
     else begin
       (* idle is monotone in comm: the eligible tasks are a (comm, id)
          prefix, of which lo is a member *)
       let a = ref (lo + 1) and b = ref n in
       while !a < !b do
         let mid = (!a + !b) lsr 1 in
-        if idle ~now ~cpu_free lay.comms.(mid) <= bound then a := mid + 1 else b := mid
+        if idle ~now ~cpu_free lay.comms.(mid) <= limit then a := mid + 1 else b := mid
       done;
       Some lay.tasks.(winner t crit kfit lo !a)
     end

@@ -130,9 +130,13 @@ val static_head : t -> Task.t option
     static order or a live task. Rebuilds first if a task is pending;
     then O(1). *)
 
+type bound = { mutable bound : float }
+(** A cell {!select} writes its min-idle bound into. *)
+
 val select :
   ?min_idle_filter:bool ->
   ?idle_floor:float ->
+  ?bound:bound ->
   t ->
   criterion ->
   used:float ->
@@ -158,4 +162,12 @@ val select :
     of least [(comm, id)], and the result is also [None] when [lo] (hence
     every fitting task) lies outside it. {!Cached_rules} passes the
     floor of its warm tasks; without a floor the selection is the one
-    above. *)
+    above.
+
+    [bound], with the filter on, receives the bound the filter applied:
+    [Float.min (idle lo) idle_floor +. 1e-12], [lo] being the unfiltered
+    SCMR winner, or [idle_floor +. 1e-12] when no task fits. It is the
+    idle bound of the union, so a caller filtering the tasks it holds
+    outside the index needs no second, unfiltered select to find [lo].
+    Computed anyway, it costs a store; a caller that passes no cell pays
+    nothing. With the filter off the cell is not written. *)

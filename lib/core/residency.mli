@@ -9,7 +9,18 @@
     in-flight tasks are {e pinned} and cannot be evicted; unpinned tiles
     are evicted on demand by a pluggable policy when a new task needs the
     memory. Eviction costs nothing now — the price is the refetch if the
-    tile is referenced again. *)
+    tile is referenced again.
+
+    {b Slots.} Tile ids are global names, an array's base plus a tile
+    index, so they may be sparse and large. The set interns each id the
+    first time it sees it: {!slot} gives it the next dense slot, for
+    good, through the one hash table of the set. A tile's state (pin
+    count, last use, refetch cost, memory share) lives in flat arrays by
+    slot, so a caller holding slots reads and writes it with no lookup
+    ({!slot_pins}, {!touch_slot}, {!unpin_slot}, {!evict_next}); the
+    id-level functions look the slot up first. A slot outlives its
+    tile's eviction, so the set's memory grows with the distinct tiles
+    it has seen, not with the tiles resident. *)
 
 type policy =
   | Lru          (** evict the least recently used unpinned tile *)
@@ -66,17 +77,40 @@ val unpin : t -> int -> unit
 val evict_candidate : t -> int option
 (** The unpinned tile the policy would evict next ([None] when every
     resident tile is pinned). Deterministic: ties break by recency and
-    tile id, never by hash order.
+    tile id, never by hash order or slot.
 
     O(log r) amortized over r resident tiles: the set keeps a min-heap of
-    stamps (tile, last use, refetch cost), one pushed whenever a tile's
-    pin count drops to 0. A stamp is stale once its tile is evicted or
-    pinned again; stale stamps are dropped as they reach the top. Every
-    reference ticks a clock, so no two resident tiles share a last use,
-    and the least valid stamp names the tile a fold over every unpinned
-    tile would pick. The heap holds at most one stamp per unpin made on
-    the set. *)
+    stamps (tile, slot, last use, refetch cost), one pushed whenever a
+    tile's pin count drops to 0. A stamp is stale once its tile is
+    evicted or pinned again, which its slot tells; stale stamps are
+    dropped as they reach the top. Every reference ticks a clock, so no
+    two resident tiles share a last use, and the least valid stamp names
+    the tile a fold over every unpinned tile would pick. The heap holds
+    at most one stamp per unpin made on the set. *)
 
 val evict : t -> int -> unit
 (** Remove an unpinned resident tile. Raises [Invalid_argument] if the
     tile is absent or pinned. *)
+
+(** {1 Slot-level access}
+
+    For executors and decision loops that resolve each tile id once. A
+    slot is only meaningful for the set that gave it. *)
+
+val slot : t -> int -> int
+(** The tile's slot: the one it was given when the set first saw it, or
+    the next free one, given now. Slots are [0, 1, 2, ...] in the order
+    the set first sees the tiles. Interning changes no residency state. *)
+
+val slot_pins : t -> int -> int
+(** {!pins} by slot: an array read. *)
+
+val touch_slot : t -> int -> Task.tile_ref -> [ `Hit | `Miss ]
+(** {!touch} on a reference whose tile has this slot. *)
+
+val unpin_slot : t -> int -> unit
+(** {!unpin} by slot. *)
+
+val evict_next : t -> bool
+(** Evict the tile {!evict_candidate} names; [false], and no change,
+    when every resident tile is pinned. *)

@@ -213,9 +213,9 @@ let run_two_orders ?state ~capacity ~comm_order comp_order =
    same order: bit-identity to the flat model (QCheck-pinned). *)
 
 type cached_event = {
-  ev_time : float;               (* computation end *)
-  ev_free : float;               (* private memory released *)
-  ev_unpin : Task.tile_ref list; (* input tiles unpinned *)
+  ev_time : float;       (* computation end *)
+  ev_free : float;       (* private memory released *)
+  ev_unpin : int array;  (* residency slots of the input tiles unpinned *)
 }
 
 type cached_state = {
@@ -235,7 +235,9 @@ let cached_cpu_free cs = cs.cbase.cpu_free
 
 let apply_cached_event cs ev =
   cs.cbase.used <- cs.cbase.used -. ev.ev_free;
-  List.iter (fun (r : Task.tile_ref) -> Residency.unpin cs.cres r.Task.tile) ev.ev_unpin
+  for i = 0 to Array.length ev.ev_unpin - 1 do
+    Residency.unpin_slot cs.cres ev.ev_unpin.(i)
+  done
 
 let process_cached_until cs time =
   let rec loop () =
@@ -267,6 +269,12 @@ let sum_ref_mem refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.
    has to bring in <= kcap]; with no resident tile, [unevictable + mem]. *)
 let cached_unevictable cs = cs.cbase.used +. Residency.pinned_bytes cs.cres
 
+(* The residency slots of the tiles, in tile order. *)
+let slots_of res tiles =
+  let a = Array.make (List.length tiles) 0 in
+  List.iteri (fun i (r : Task.tile_ref) -> a.(i) <- Residency.slot res r.Task.tile) tiles;
+  a
+
 let schedule_task_cached cs ~capacity (task : Task.t) =
   let st = cs.cbase and res = cs.cres in
   if task.Task.mem > capacity *. (1.0 +. 1e-12) then
@@ -275,35 +283,37 @@ let schedule_task_cached cs ~capacity (task : Task.t) =
          task.Task.id task.Task.mem capacity);
   let kcap = capacity *. (1.0 +. 1e-12) in
   process_cached_until cs st.link_free;
+  let slots = slots_of res task.Task.tiles in
   (* Pin the tiles that are resident right now, before any eviction below
-     could throw them out; the rest is admitted once the memory fit is
-     secured. Waiting only unpins and evicts, so each of those misses. *)
-  let hit_now, miss_now =
-    List.partition
-      (fun (r : Task.tile_ref) -> Residency.is_resident res r.Task.tile)
-      task.Task.tiles
-  in
-  List.iter (fun r -> ignore (Residency.touch res r)) hit_now;
-  let need = task.Task.mem -. sum_ref_mem hit_now in
+     could throw them out, summing their shares in tile order; the rest is
+     admitted once the memory fit is secured. Waiting only unpins and
+     evicts, so the tiles absent now are the ones still absent then, and
+     each of those misses. *)
+  let hit_mem = ref 0.0 and eff = ref task.Task.comm in
+  List.iteri
+    (fun i (r : Task.tile_ref) ->
+      if Residency.slot_pins res slots.(i) >= 0 then begin
+        ignore (Residency.touch_slot res slots.(i) r);
+        hit_mem := !hit_mem +. r.Task.t_mem;
+        eff := !eff -. r.Task.t_comm
+      end)
+    task.Task.tiles;
+  let need = task.Task.mem -. !hit_mem in
   let start = ref st.link_free in
   while st.used +. Residency.resident_bytes res +. need > kcap do
     (* evicting an unpinned tile is free; waiting for a release is not *)
-    match Residency.evict_candidate res with
-    | Some tile -> Residency.evict res tile
-    | None -> (
-        match Queue.take_opt cs.cevents with
-        | None -> assert false (* task.mem <= capacity, so memory must free up *)
-        | Some ev ->
-            apply_cached_event cs ev;
-            if ev.ev_time > !start then start := ev.ev_time)
+    if not (Residency.evict_next res) then
+      match Queue.take_opt cs.cevents with
+      | None -> assert false (* task.mem <= capacity, so memory must free up *)
+      | Some ev ->
+          apply_cached_event cs ev;
+          if ev.ev_time > !start then start := ev.ev_time
   done;
-  List.iter (fun r -> ignore (Residency.touch res r)) miss_now;
-  let eff =
-    if task.Task.tiles = [] then task.Task.comm
-    else
-      Float.max 0.0
-        (List.fold_left (fun e (r : Task.tile_ref) -> e -. r.Task.t_comm) task.Task.comm hit_now)
-  in
+  List.iteri
+    (fun i (r : Task.tile_ref) ->
+      if Residency.slot_pins res slots.(i) < 0 then ignore (Residency.touch_slot res slots.(i) r))
+    task.Task.tiles;
+  let eff = if task.Task.tiles = [] then task.Task.comm else Float.max 0.0 !eff in
   let s_comm = !start in
   let comm_end = s_comm +. eff in
   let s_comp = Float.max comm_end st.cpu_free in
@@ -314,7 +324,7 @@ let schedule_task_cached cs ~capacity (task : Task.t) =
   st.used <- st.used +. private_mem;
   st.link_free <- comm_end;
   st.cpu_free <- comp_end;
-  Queue.push { ev_time = comp_end; ev_free = private_mem; ev_unpin = task.Task.tiles } cs.cevents;
+  Queue.push { ev_time = comp_end; ev_free = private_mem; ev_unpin = slots } cs.cevents;
   { Schedule.task = Task.charged task ~comm:eff; s_comm; s_comp }
 
 let run_order_cached ?policy ~capacity tasks =

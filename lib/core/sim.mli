@@ -151,8 +151,9 @@ val cached_unevictable : cached_state -> float
 val schedule_task_cached : cached_state -> capacity:float -> Task.t -> Schedule.entry
 (** Start the task's communication at the earliest fitting instant
     (evicting unpinned tiles before waiting for releases), then its
-    computation. Raises [Invalid_argument] when the task alone exceeds
-    the capacity. *)
+    computation. Each tile reference is resolved to its {!Residency}
+    slot once; the task's completion event unpins by slot. Raises
+    [Invalid_argument] when the task alone exceeds the capacity. *)
 
 val run_order_cached :
   ?policy:Residency.policy ->

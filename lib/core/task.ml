@@ -15,20 +15,40 @@ type t = {
 
 let finite v = Float.is_finite v
 
+let check_ref r =
+  if r.tile < 0 then invalid_arg "Task.make: negative input tile id";
+  if r.t_comm < 0.0 || r.t_mem < 0.0 then invalid_arg "Task.make: negative input tile field";
+  if Float.is_nan r.t_comm || Float.is_nan r.t_mem then
+    invalid_arg "Task.make: NaN input tile field";
+  if not (finite r.t_comm && finite r.t_mem) then
+    invalid_arg "Task.make: non-finite input tile field"
+
+let duplicate tile = invalid_arg (Printf.sprintf "Task.make: duplicate input tile id %d" tile)
+
+(* Whether one of the first [k] refs of [refs] names [tile]. *)
+let rec among tile refs k =
+  k > 0 && match refs with r :: rest -> r.tile = tile || among tile rest (k - 1) | [] -> false
+
+(* Each ref in list order: its fields, then whether an earlier ref names
+   its tile, so the error is the first one met in the list. A short list
+   checks the earlier refs pairwise; only a long one pays for a table. *)
 let check_refs refs =
-  let seen = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      if r.tile < 0 then invalid_arg "Task.make: negative input tile id";
-      if r.t_comm < 0.0 || r.t_mem < 0.0 then invalid_arg "Task.make: negative input tile field";
-      if Float.is_nan r.t_comm || Float.is_nan r.t_mem then
-        invalid_arg "Task.make: NaN input tile field";
-      if not (finite r.t_comm && finite r.t_mem) then
-        invalid_arg "Task.make: non-finite input tile field";
-      if Hashtbl.mem seen r.tile then
-        invalid_arg (Printf.sprintf "Task.make: duplicate input tile id %d" r.tile);
-      Hashtbl.replace seen r.tile ())
-    refs
+  match refs with
+  | [] -> ()
+  | _ when List.compare_length_with refs 8 <= 0 ->
+      List.iteri
+        (fun i r ->
+          check_ref r;
+          if among r.tile refs i then duplicate r.tile)
+        refs
+  | _ ->
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (fun r ->
+          check_ref r;
+          if Hashtbl.mem seen r.tile then duplicate r.tile;
+          Hashtbl.replace seen r.tile ())
+        refs
 
 let sum_comm refs = List.fold_left (fun acc r -> acc +. r.t_comm) 0.0 refs
 let sum_mem refs = List.fold_left (fun acc r -> acc +. r.t_mem) 0.0 refs

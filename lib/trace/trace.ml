@@ -168,10 +168,18 @@ let load_result path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_result ic)
 
+(* Every failure names the path: [open_in]'s [Sys_error] message starts
+   with it, a read's (a directory, an I/O error) does not. *)
 let load path =
+  let located = path ^ ": " in
   match load_result path with
   | Ok t -> t
-  | Error e -> failwith (Printf.sprintf "Trace.load: %s: %s" path (parse_error_to_string e))
+  | Error e -> failwith ("Trace.load: " ^ located ^ parse_error_to_string e)
+  | exception Sys_error message ->
+      let message =
+        if String.starts_with ~prefix:located message then message else located ^ message
+      in
+      failwith ("Trace.load: " ^ message)
 
 let of_task_lists ~prefix lists =
   Array.mapi (fun i tasks -> make ~name:(Printf.sprintf "%s-p%03d" prefix i) tasks) lists

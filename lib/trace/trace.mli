@@ -53,7 +53,9 @@ val save : dir:string -> t -> string
 
 val load_result : string -> (t, parse_error) result
 val load : string -> t
-(** Raises [Failure] (with path and line) on a malformed file. *)
+(** Raises [Failure] (with path and line) on a malformed file, and
+    [Failure] with the path and the system's message on a path it cannot
+    open or read (a directory, say), never [Sys_error]. *)
 
 val save_set : dir:string -> prefix:string -> t array -> string list
 val load_set : dir:string -> prefix:string -> t array

@@ -64,17 +64,28 @@ let tiled_task_gen =
           ~mem:(Float.max 0.25 (sum_m +. extra_mem))
           ~tiles ()))
 
+(* Tile ids are global names, an array's base plus a tile index, so they
+   may be sparse and large. [spread_tile] makes them so: a strictly
+   increasing map, so that every tie broken by tile id falls the same way,
+   to ids that differ only in their high bits. *)
+let spread_tile t = t lsl 40
+
 (* Tiled tasks whose shares are a fixed function of the tile id (as when
    tiles are real shared blocks): every task referencing tile [t] carves
    out the same (comm, mem) share, as the cached-never-worse property's
-   guarantee assumes. *)
-let pooled_task_gen =
+   guarantee assumes. The pool's ids are 0..7, spread when [spread]. *)
+let pooled_task_gen ~spread =
   QCheck2.Gen.(
     let tile_share t = 0.25 *. float_of_int ((t mod 3) + 1) in
     let* ids = list_size (int_range 0 3) (int_range 0 7) in
     let tiles =
       List.map
-        (fun t -> { Task.tile = t; t_comm = tile_share t; t_mem = tile_share t })
+        (fun t ->
+          {
+            Task.tile = (if spread then spread_tile t else t);
+            t_comm = tile_share t;
+            t_mem = tile_share t;
+          })
         (List.sort_uniq compare ids)
     in
     let* extra_comm = map (fun x -> float_of_int x /. 4.0) (int_range 0 20) in
@@ -86,16 +97,24 @@ let pooled_task_gen =
           ~mem:(Float.max 0.25 (sum +. extra_mem))
           ~tiles ()))
 
-let tiled_instance_gen ?(min_size = 1) ?(max_size = 8) () =
+(* [spread] (default: drawn, half the instances) spreads the tile ids. *)
+let tiled_instance_gen ?(min_size = 1) ?(max_size = 8) ?spread () =
   QCheck2.Gen.(
     let* n = int_range min_size max_size in
-    let* mk = list_repeat n pooled_task_gen in
+    let* spread = match spread with Some s -> return s | None -> bool in
+    let* mk = list_repeat n (pooled_task_gen ~spread) in
     let* slack = map (fun x -> float_of_int x /. 8.0) (int_range 0 16) in
     let tasks = List.mapi (fun i f -> f i) mk in
     let m_c =
       List.fold_left (fun acc (t : Task.t) -> Float.max acc t.Task.mem) 0.25 tasks
     in
     return (Instance.make_keep_ids ~capacity:(m_c *. (1.0 +. slack)) tasks))
+
+(* The same tasks with every tile id spread. *)
+let spread_tiles (t : Task.t) =
+  let spread (r : Task.tile_ref) = { r with Task.tile = spread_tile r.Task.tile } in
+  Task.make ~label:t.Task.label ~id:t.Task.id ~comm:t.Task.comm ~comp:t.Task.comp ~mem:t.Task.mem
+    ~tiles:(List.map spread t.Task.tiles) ()
 
 let instance_print i = Format.asprintf "%a" Instance.pp i
 

@@ -264,7 +264,10 @@ let cached_prop criterion filter =
    filter on, tasks idle beyond [Float.min least floor +. 1e-12] drop
    out. An index with a static order (Johnson's, or a random rank with
    ties) must also name, after every operation, the model's least live
-   task under that order as its static head. *)
+   task under that order as its static head. And a filtered select must
+   hand back, after every operation that leaves no task pending, the
+   min-idle bound the model's two selects give, with a finite floor and
+   with none. *)
 type spec = { s_comm : float; s_comp : float; s_mem : float }
 
 type query = {
@@ -422,6 +425,35 @@ let index_matches_model cases (static, ops) =
     if not (List.memq t !laid) then pending := t :: !pending;
     set := t :: !set
   in
+  (* The bound a filtered select hands back is the one the two selects it
+     replaced found: the unfiltered SCMR winner's idle time against the
+     floor, plus 1e-12, or the floor plus 1e-12 when nothing fits. *)
+  let probe =
+    ref
+      {
+        crit = Dynamic_rules.SCMR;
+        filter = true;
+        floor = None;
+        used = 0.0;
+        kcap = Float.infinity;
+        cpu_free = 0.0;
+        now = 0.0;
+      }
+  in
+  let check_bound floor =
+    let q = !probe and cell = { Candidates.bound = Float.nan } in
+    ignore
+      (Candidates.select ~idle_floor:floor ~bound:cell idx q.crit ~used:q.used ~kcap:q.kcap
+         ~cpu_free:q.cpu_free ~now:q.now);
+    let want =
+      match model_select !live { q with crit = Dynamic_rules.SCMR; filter = false } with
+      | Some lo -> Float.min (Float.max 0.0 (q.now +. lo.Task.comm -. q.cpu_free)) floor +. 1e-12
+      | None -> floor +. 1e-12
+    in
+    if not (Float.equal cell.Candidates.bound want) then
+      QCheck2.Test.fail_reportf "%s, floor %g: bound %h, two selects %h" (op_print (Select q))
+        floor cell.Candidates.bound want
+  in
   let step op =
     (match op with
     | Add batch | Reserve batch ->
@@ -476,6 +508,7 @@ let index_matches_model cases (static, ops) =
             Candidates.remove idx (Task.make ~id:!next_absent ~comm:1.0 ~comp:1.0 ()))
     | Select q ->
         rebuild ();
+        probe := q;
         let got =
           Candidates.select ~min_idle_filter:q.filter ?idle_floor:q.floor idx q.crit
             ~used:q.used ~kcap:q.kcap ~cpu_free:q.cpu_free ~now:q.now
@@ -501,6 +534,11 @@ let index_matches_model cases (static, ops) =
           QCheck2.Test.fail_reportf "after %s: static head %s, model %s" (op_print op)
             (match got with Some t -> string_of_int t.Task.id | None -> "none")
             (match want with Some t -> string_of_int t.Task.id | None -> "none"));
+    (* after every operation that leaves no task pending, so that the
+       probe lays nothing out and the pending paths stay reachable; under
+       the last query's floor (or 1) and under none *)
+    if !pending = [] then
+      List.iter check_bound [ Option.value !probe.floor ~default:1.0; Float.infinity ];
     let top = List.fold_left (fun a (t : Task.t) -> max a t.Task.id) 0 (present ()) in
     Candidates.size idx = List.length !live
     && List.for_all
@@ -536,6 +574,20 @@ let candidates_model =
    interleaved over several instances on one domain, and a pooled fleet
    over a shuffled trace set, equal fresh runs, each on a new domain. *)
 let fresh f = Domain.join (Domain.spawn f)
+
+(* A domain that never released an index has no spare arrays: an index
+   created there must answer a select before its first task, as any
+   empty index does (no task, and the bound of the floor alone). *)
+let fresh_index_select () =
+  let cell = { Candidates.bound = Float.nan } in
+  let got =
+    fresh (fun () ->
+        let idx = Candidates.create () in
+        Candidates.select ~idle_floor:2.0 ~bound:cell idx Dynamic_rules.SCMR ~used:0.0
+          ~kcap:10.0 ~cpu_free:0.0 ~now:0.0)
+  in
+  Alcotest.(check bool) "no task" true (Option.is_none got);
+  Alcotest.(check (float 0.0)) "the floor's bound" (2.0 +. 1e-12) cell.Candidates.bound
 
 let indexed_runs =
   List.map (fun c i -> Dynamic_rules.run c i) Dynamic_rules.all
@@ -717,5 +769,6 @@ let suite =
         memo_invisible;
         Alcotest.test_case "Candidates memo and spare arrays: pooled fleet = fresh runs" `Quick
           fleet_invisible;
+        Alcotest.test_case "select on a fresh domain's first index" `Quick fresh_index_select;
       ];
     ]

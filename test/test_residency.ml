@@ -280,6 +280,26 @@ let prop_replay_never_worse =
               && Schedule.makespan cached <= Schedule.makespan baseline)
         Residency.all_policies)
 
+(* Tile ids are names: the executor interns them into dense slots, so
+   spreading every id (a strictly increasing map, so that ties by tile id
+   fall the same way) changes no entry and no statistic. *)
+let prop_spread_ids =
+  Generators.prop_test ~name:"run_order_cached: spread tile ids = dense ids (bit-identical)"
+    (Generators.tiled_instance_gen ~max_size:10 ~spread:false ())
+    (fun instance ->
+      let capacity = instance.Instance.capacity in
+      let tasks = Instance.task_list instance in
+      let spread = List.map Generators.spread_tiles tasks in
+      List.for_all
+        (fun policy ->
+          let run = Sim.run_order_cached ~policy ~capacity in
+          match (run tasks, run spread) with
+          | Ok (dense, dense_stats), Ok (sparse, sparse_stats) ->
+              schedule_bit_equal dense sparse && dense_stats = sparse_stats
+          | Error t, _ | _, Error t ->
+              QCheck2.Test.fail_reportf "cached rejected task %d" t.Task.id)
+        Residency.all_policies)
+
 (* ---------------- validation regressions (inf bug) ---------------- *)
 
 let rejects_non_finite () =
@@ -314,6 +334,24 @@ let rejects_bad_shares () =
       ignore
         (Task.make ~id:0 ~comm:4.0 ~comp:1.0 ~mem:4.0 ~tiles:[ ref_ 1; ref_ 1 ] ()))
 
+(* [Task.make] names the first repeated tile id in list order, after the
+   fields of the refs before it: pairwise on a short list, through a
+   table on a long one. *)
+let first_duplicate_named () =
+  let make tiles = ignore (Task.make ~id:0 ~comm:1.0 ~comp:1.0 ~tiles ()) in
+  let refs ids = List.map (fun t -> ref_ ~comm:0.0 ~mem:0.0 t) ids in
+  let bad = { Task.tile = 5; t_comm = -1.0; t_mem = 0.0 } in
+  List.iter
+    (fun (what, head) ->
+      Alcotest.check_raises (what ^ ": first repeat")
+        (Invalid_argument "Task.make: duplicate input tile id 5") (fun () ->
+          make (refs (head @ [ 5; 3; 5; 3 ])));
+      Alcotest.check_raises (what ^ ": a field error before the repeat")
+        (Invalid_argument "Task.make: negative input tile field") (fun () ->
+          make (refs (head @ [ 5; 3 ]) @ [ bad ]));
+      make (refs (head @ [ 5; 3 ])))
+    [ ("short", []); ("long", [ 10; 11; 12; 13; 14; 15; 16 ]) ]
+
 let suite =
   [
     Alcotest.test_case "touch/pin lifecycle" `Quick touch_lifecycle;
@@ -331,4 +369,7 @@ let suite =
     prop_degenerate_run_order;
     prop_degenerate_rules;
     prop_replay_never_worse;
+    prop_spread_ids;
+    Alcotest.test_case "duplicate tile ids: the first repeat is named" `Quick
+      first_duplicate_named;
   ]

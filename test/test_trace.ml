@@ -255,3 +255,21 @@ let suite =
       Alcotest.test_case "duplicate ids and non-finite fields" `Quick integrity_errors;
       prop_trace_roundtrip;
     ]
+
+(* A path [Trace.load] cannot open or read is a [Failure] naming it, as
+   a malformed trace is, never a [Sys_error]: the CLI reports both with
+   exit 1. *)
+let unreadable_paths () =
+  let dir = Filename.temp_dir "dtsched" "" in
+  let missing = Filename.concat dir "absent.trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (path, message) ->
+          Alcotest.check_raises path (Failure (Printf.sprintf "Trace.load: %s: %s" path message))
+            (fun () -> ignore (Dt_trace.Trace.load path)))
+        [ (dir, "Is a directory"); (missing, "No such file or directory") ])
+
+let suite =
+  suite @ [ Alcotest.test_case "unreadable paths fail naming the path" `Quick unreadable_paths ]
