@@ -197,25 +197,35 @@ let test_candidates_portfolio =
           List.iter replay runs.(!run land 1)))
 
 (* The residency set alone: with r unpinned tiles resident, one run
-   admits a new tile (touch, a miss), unpins it and evicts the policy's
-   victim, so r tiles stay resident. The cached-ccsd pass holds ~160. *)
+   admits a tile (touch, a miss), unpins it and evicts the policy's
+   victim, so r tiles stay resident. The set serves r + 1 one-tile
+   tasks, admitted in turn, so the victim is always the tile admitted
+   longest ago, the next to come round: every admit misses. The
+   cached-ccsd pass holds ~160. *)
 let test_residency_evict =
   Test.make_indexed ~name:"evict" ~args:[ 160; 2_000 ] (fun r ->
-      let res = Dt_core.Residency.create () and next = ref 0 in
+      let tasks =
+        Array.init (r + 1) (fun tile ->
+            Dt_core.Task.make ~id:tile ~comm:1.0 ~comp:1.0 ~mem:1.0
+              ~tiles:[ { Dt_core.Task.tile; t_comm = 1.0; t_mem = 1.0 } ]
+              ())
+      in
+      let res = Dt_core.Residency.create tasks and next = ref 0 in
+      let slot = (Dt_core.Residency.refs res).Dt_core.Residency.slot in
       let admit () =
-        let tile = !next in
-        incr next;
-        ignore (Dt_core.Residency.touch res { Dt_core.Task.tile; t_comm = 1.0; t_mem = 1.0 });
-        Dt_core.Residency.unpin res tile
+        let j = !next in
+        next := (j + 1) mod (r + 1);
+        ignore (Dt_core.Residency.touch res j);
+        Dt_core.Residency.unpin res slot.(j)
       in
       for _ = 1 to r do
         admit ()
       done;
       Staged.stage (fun () ->
           admit ();
-          match Dt_core.Residency.evict_candidate res with
-          | Some tile -> Dt_core.Residency.evict res tile
-          | None -> assert false))
+          let s = Dt_core.Residency.victim res in
+          assert (s >= 0);
+          Dt_core.Residency.evict res s))
 
 (* The cached decision loop whole: [Cached_rules.run] SCMR+lru on the
    reuse sweep's task stream at core-smoke's reuse factor (4), n = 800:

@@ -36,7 +36,8 @@ let online_makespan policy ~capacity ~spacing tasks =
       | Engine.Accepted -> ()
       | _ -> failwith "online bench: submission rejected")
     tasks;
-  Dt_core.Schedule.makespan (Engine.drain engine)
+  ignore (Engine.drain engine);
+  Engine.makespan engine
 
 (* mean ratio online/offline over the trace set, at one load level *)
 let sweep_point policy traces ~factor ~load =

@@ -43,7 +43,8 @@ sleep 0.3
 # Scripted session: 20 identical tasks (comm 1, comp 0.5, mem 1) on
 # capacity 10, all arrivals at 0. The link serialises the transfers, so
 # the clairvoyant (= offline, by the engine's degeneration property)
-# makespan is 20 + 0.5 = 20.5 exactly.
+# makespan is 20 + 0.5 = 20.5 exactly. A second DRAIN, with nothing
+# pending, must give the same answer.
 {
   echo "INIT 10 OOSCMR"
   i=0
@@ -53,14 +54,15 @@ sleep 0.3
   done
   echo "STATS"
   echo "DRAIN"
+  echo "DRAIN"
   echo "QUIT"
 } | "$DTSCHED" client -p "$port" >"$tmp/session.out"
-grep -q "makespan=20.5 scheduled=20" "$tmp/session.out" || {
-  echo "FAIL: 20-task drain did not match the offline makespan 20.5:" >&2
+[ "$(grep -c "makespan=20.5 scheduled=20" "$tmp/session.out")" -eq 2 ] || {
+  echo "FAIL: the two DRAINs of the 20-task session did not both read the offline makespan 20.5:" >&2
   cat "$tmp/session.out" >&2
   exit 1
 }
-echo "20-task session OK (drained makespan 20.5 = offline, idle connection held open)"
+echo "20-task session OK (both DRAINs read makespan 20.5 = offline, idle connection held open)"
 kill "$idle_pid" 2>/dev/null || true
 
 # Trace replay at rate inf: every arrival is 0, so the online schedule

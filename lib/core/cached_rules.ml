@@ -4,11 +4,10 @@
    of its tiles currently resident in the unit's memory — and the memory
    fit allows on-demand eviction of unpinned tiles.
 
-   A run interns every tile of the instance once, at start, into the
-   residency set's dense slots ([Residency.slot]), and keeps per task its
-   input tiles' slots and shares in flat arrays, in tile order, and per
-   tile slot the tasks reading it. The unscheduled tasks are split in
-   two:
+   A run reads the residency set's ref table ([Residency.refs]: per
+   task its input tiles' slots and shares in flat arrays, in tile order,
+   interned once when the executor state is made), and keeps per tile
+   slot the tasks reading it. The unscheduled tasks are split in two:
 
      cold  no input tile resident. Their effective comm is their comm,
            their fit test is [Sim.cached_unevictable + mem <= kcap] and
@@ -16,7 +15,7 @@
            static [Candidates] index answers for them in O(log n);
      warm  the rest: a slot array, read by one pass per decision that
            reads each input tile's pin count from the residency set's
-           slot array ([Residency.slot_pins]) and writes the task's
+           slot array ([Residency.pins]) and writes the task's
            effective comm and idle time into float slots, with the float
            expressions and tile order of the frozen list scan's fit test
            and effective comm. The pass makes no table lookup.
@@ -62,13 +61,9 @@ type loop = {
   res : Residency.t;
   kcap : float;
   criterion : Dynamic_rules.criterion;
-  min_idle_filter : bool;
   tasks : Task.t array; (* the instance's; a task is named by its index here *)
   by_id : int array; (* the task indices by ascending id *)
-  first : int array; (* task u's input tiles are refs [first.(u), first.(u + 1)) *)
-  ref_slot : int array; (* by ref: the tile's residency slot *)
-  ref_comm : float array; (* by ref: the tile's transfer share *)
-  ref_mem : float array; (* by ref: the tile's memory share *)
+  refs : Residency.refs; (* the tasks' input tiles, by task index *)
   first_reader : int array; (* slot s's readers are [first_reader.(s), first_reader.(s + 1)) *)
   reader : int array; (* task indices, descending within a slot *)
   place : Bytes.t; (* by task: in_index, in_warm or scheduled *)
@@ -113,18 +108,19 @@ let remove_warm l i =
    test and effective comm did. Sets [pass.floor]. *)
 let warm_pass l ~used ~cpu_free ~now =
   let res = l.res and floor = ref Float.infinity in
+  let { Residency.first; slot; comm; mem; _ } = l.refs in
   let i = ref 0 in
   while !i < l.n_warm do
     let u = l.warm.(!i) in
     let saved = ref 0.0 and resident_mem = ref 0.0 and unpinned_mem = ref 0.0 in
     let any = ref false in
-    for j = l.first.(u) to l.first.(u + 1) - 1 do
-      let pins = Residency.slot_pins res l.ref_slot.(j) in
+    for j = first.(u) to first.(u + 1) - 1 do
+      let pins = Residency.pins res slot.(j) in
       if pins >= 0 then begin
         any := true;
-        saved := !saved +. l.ref_comm.(j);
-        resident_mem := !resident_mem +. l.ref_mem.(j);
-        if pins = 0 then unpinned_mem := !unpinned_mem +. l.ref_mem.(j)
+        saved := !saved +. comm.(j);
+        resident_mem := !resident_mem +. mem.(j);
+        if pins = 0 then unpinned_mem := !unpinned_mem +. mem.(j)
       end
     done;
     let t = l.tasks.(u) in
@@ -155,14 +151,12 @@ let choose l =
   let used = Sim.cached_unevictable l.cs in
   warm_pass l ~used ~cpu_free ~now;
   let cold_best =
-    (* the index ignores the floor with the filter off *)
-    Candidates.select ~min_idle_filter:l.min_idle_filter ~idle_floor:l.pass.floor
-      ?bound:l.some_bound l.cold l.criterion ~used ~kcap:l.kcap ~cpu_free ~now
+    Candidates.select ~idle_floor:l.pass.floor ?bound:l.some_bound l.cold l.criterion ~used
+      ~kcap:l.kcap ~cpu_free ~now
   in
-  (* The warm tasks' idle bound: with the filter on, the union's, 1e-12
-     above the least of the warm floor and the index's least fitting
-     comm's idle time. *)
-  let bound = if l.min_idle_filter then l.bound.Candidates.bound else Float.infinity in
+  (* The warm tasks' idle bound: the union's, 1e-12 above the least of
+     the warm floor and the index's least fitting comm's idle time. *)
+  let bound = l.bound.Candidates.bound in
   let best = ref (-1) and best_key = ref 0.0 in
   for i = 0 to l.n_warm - 1 do
     (* false on nan: the task does not fit *)
@@ -195,8 +189,8 @@ let index_of l (t : Task.t) =
 (* Scheduling task [u] makes its tiles resident: their indexed readers
    warm up. *)
 let warm_readers l u =
-  for j = l.first.(u) to l.first.(u + 1) - 1 do
-    let s = l.ref_slot.(j) in
+  for j = l.refs.Residency.first.(u) to l.refs.Residency.first.(u + 1) - 1 do
+    let s = l.refs.Residency.slot.(j) in
     for k = l.first_reader.(s) to l.first_reader.(s + 1) - 1 do
       let v = l.reader.(k) in
       if Bytes.get l.place v = in_index then begin
@@ -207,36 +201,22 @@ let warm_readers l u =
     done
   done
 
-let create ?policy ~min_idle_filter criterion (instance : Instance.t) =
+let create ?policy criterion (instance : Instance.t) =
   let tasks = instance.Instance.tasks in
   let n = Array.length tasks in
-  let cs = Sim.cached_state ?policy () in
+  let cs = Sim.cached_state ?policy tasks in
   let res = Sim.cached_residency cs in
-  let first = Array.make (n + 1) 0 in
-  Array.iteri (fun u (t : Task.t) -> first.(u + 1) <- first.(u) + List.length t.Task.tiles) tasks;
-  let refs = first.(n) in
-  let ref_slot = Array.make refs 0 and ref_comm = Array.make refs 0.0 in
-  let ref_mem = Array.make refs 0.0 in
-  Array.iteri
-    (fun u (t : Task.t) ->
-      List.iteri
-        (fun k (r : Task.tile_ref) ->
-          let j = first.(u) + k in
-          ref_slot.(j) <- Residency.slot res r.Task.tile;
-          ref_comm.(j) <- r.Task.t_comm;
-          ref_mem.(j) <- r.Task.t_mem)
-        t.Task.tiles)
-    tasks;
-  (* a fresh set numbers the tiles 0, 1, ... as it first sees them *)
-  let slots = Array.fold_left (fun m s -> Int.max m (s + 1)) 0 ref_slot in
+  let refs = Residency.refs res in
+  let ref_slot = refs.Residency.slot in
+  let slots = Array.length refs.Residency.tile in
   let first_reader = Array.make (slots + 1) 0 in
   Array.iter (fun s -> first_reader.(s + 1) <- first_reader.(s + 1) + 1) ref_slot;
   for s = 1 to slots do
     first_reader.(s) <- first_reader.(s) + first_reader.(s - 1)
   done;
-  let reader = Array.make refs 0 and next = Array.sub first_reader 0 slots in
+  let reader = Array.make (Array.length ref_slot) 0 and next = Array.sub first_reader 0 slots in
   for u = n - 1 downto 0 do
-    for j = first.(u) to first.(u + 1) - 1 do
+    for j = refs.Residency.first.(u) to refs.Residency.first.(u + 1) - 1 do
       let s = ref_slot.(j) in
       reader.(next.(s)) <- u;
       next.(s) <- next.(s) + 1
@@ -251,13 +231,9 @@ let create ?policy ~min_idle_filter criterion (instance : Instance.t) =
       res;
       kcap = instance.Instance.capacity *. (1.0 +. 1e-12);
       criterion;
-      min_idle_filter;
       tasks;
       by_id;
-      first;
-      ref_slot;
-      ref_comm;
-      ref_mem;
+      refs;
       first_reader;
       reader;
       place = Bytes.make n in_index;
@@ -274,7 +250,7 @@ let create ?policy ~min_idle_filter criterion (instance : Instance.t) =
   Candidates.load l.cold (Array.to_list tasks);
   l
 
-let run ?policy ?(min_idle_filter = true) criterion instance =
+let run ?policy criterion instance =
   let capacity = instance.Instance.capacity in
   Array.iter
     (fun t ->
@@ -283,11 +259,11 @@ let run ?policy ?(min_idle_filter = true) criterion instance =
           (Printf.sprintf "Cached_rules.run: task %d needs %g > capacity %g" t.Task.id
              t.Task.mem capacity))
     instance.Instance.tasks;
-  let l = create ?policy ~min_idle_filter criterion instance in
+  let l = create ?policy criterion instance in
   let entries = ref [] in
   let take u =
     Bytes.set l.place u scheduled;
-    entries := Sim.schedule_task_cached l.cs ~capacity l.tasks.(u) :: !entries;
+    entries := Sim.schedule_task_cached l.cs ~capacity u :: !entries;
     warm_readers l u
   in
   while Candidates.size l.cold > 0 || l.n_warm > 0 do

@@ -41,17 +41,22 @@ type stats = {
   miss_comm : float; (* transfer time paid on misses *)
 }
 
-(* Every tile seen gets the next slot, for good; its state lives in flat
-   arrays by slot, valid below the table's length. *)
+type refs = {
+  first : int array; (* task u's refs are [first.(u), first.(u + 1)) *)
+  slot : int array; (* by ref *)
+  comm : float array; (* by ref *)
+  mem : float array; (* by ref *)
+  tile : int array; (* by slot *)
+}
+
+(* A tile's state lives in flat arrays by slot. *)
 type t = {
-  slots : int Tiles.t; (* tile id -> slot *)
-  mutable tile : int array; (* slot -> tile id *)
-  mutable pins : int array; (* -1 when the tile is not resident *)
-  mutable last_use : int array; (* a clock value no other resident tile holds *)
-  mutable comm : float array; (* refetch cost if evicted and needed again *)
-  mutable mem : float array;
+  refs : refs;
+  pins : int array; (* -1 when the tile is not resident *)
+  last_use : int array; (* a clock value no other resident tile holds *)
+  refetch : float array; (* the admitting ref's transfer share *)
+  size : float array; (* the admitting ref's memory share *)
   victims : stamp Iheap.t; (* every unpinned resident tile's stamp, and stale ones *)
-  mutable resident : int;
   mutable resident_bytes : float;
   mutable pinned_bytes : float;
   mutable clock : int;
@@ -62,16 +67,50 @@ type t = {
   mutable miss_comm : float;
 }
 
-let create ?(policy = Lru) () =
+(* One pass over the tasks' tile lists: a tile id gets the next slot the
+   first time it is named. The table holds at most one entry per ref. *)
+let intern (tasks : Task.t array) =
+  let n = Array.length tasks in
+  let first = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    first.(u + 1) <- first.(u) + List.length tasks.(u).Task.tiles
+  done;
+  let refs = first.(n) in
+  let ids = Tiles.create refs in
+  let slot = Array.make refs 0 and tile = Array.make refs 0 in
+  let comm = Array.make refs 0.0 and mem = Array.make refs 0.0 in
+  let rec fill j = function
+    | [] -> ()
+    | (r : Task.tile_ref) :: rest ->
+        let s =
+          match Tiles.find ids r.Task.tile with
+          | s -> s
+          | exception Not_found ->
+              let s = Tiles.length ids in
+              Tiles.add ids r.Task.tile s;
+              tile.(s) <- r.Task.tile;
+              s
+        in
+        slot.(j) <- s;
+        comm.(j) <- r.Task.t_comm;
+        mem.(j) <- r.Task.t_mem;
+        fill (j + 1) rest
+  in
+  for u = 0 to n - 1 do
+    fill first.(u) tasks.(u).Task.tiles
+  done;
+  { first; slot; comm; mem; tile = Array.sub tile 0 (Tiles.length ids) }
+
+let create ?(policy = Lru) tasks =
+  let refs = intern tasks in
+  let tiles = Array.length refs.tile in
   {
-    slots = Tiles.create 64;
-    tile = Array.make 16 0;
-    pins = Array.make 16 (-1);
-    last_use = Array.make 16 0;
-    comm = Array.make 16 0.0;
-    mem = Array.make 16 0.0;
+    refs;
+    pins = Array.make tiles (-1);
+    last_use = Array.make tiles 0;
+    refetch = Array.make tiles 0.0;
+    size = Array.make tiles 0.0;
     victims = Iheap.create ~cmp:(match policy with Lru -> by_recency | Min_refetch -> by_refetch);
-    resident = 0;
     resident_bytes = 0.0;
     pinned_bytes = 0.0;
     clock = 0;
@@ -82,9 +121,9 @@ let create ?(policy = Lru) () =
     miss_comm = 0.0;
   }
 
+let refs t = t.refs
 let resident_bytes t = t.resident_bytes
 let pinned_bytes t = t.pinned_bytes
-let resident_tiles t = t.resident
 
 let stats t =
   {
@@ -95,33 +134,7 @@ let stats t =
     miss_comm = t.miss_comm;
   }
 
-let slot t tile =
-  match Tiles.find t.slots tile with
-  | s -> s
-  | exception Not_found ->
-      let s = Tiles.length t.slots in
-      if s = Array.length t.pins then begin
-        let grow a x =
-          let b = Array.make (2 * s) x in
-          Array.blit a 0 b 0 s;
-          b
-        in
-        t.tile <- grow t.tile 0;
-        t.pins <- grow t.pins (-1);
-        t.last_use <- grow t.last_use 0;
-        t.comm <- grow t.comm 0.0;
-        t.mem <- grow t.mem 0.0
-      end;
-      t.tile.(s) <- tile;
-      Tiles.add t.slots tile s;
-      s
-
-let slot_pins t s = t.pins.(s)
-
-(* The id-level queries intern nothing: a tile never seen is absent. *)
-let pins t tile = match Tiles.find t.slots tile with s -> t.pins.(s) | exception Not_found -> -1
-let is_resident t tile = pins t tile >= 0
-let pin_count t tile = Int.max 0 (pins t tile)
+let pins t s = t.pins.(s)
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -134,53 +147,46 @@ let tick t =
    must carve out the same memory share, or the executor's memory
    accounting (which charges the resident size once and each task's own
    share privately) no longer adds up. Transfer shares may differ. *)
-let touch_slot t s (r : Task.tile_ref) =
+let touch t j =
+  let s = t.refs.slot.(j) and comm = t.refs.comm.(j) and mem = t.refs.mem.(j) in
   let pins = t.pins.(s) in
-  if pins >= 0 && t.mem.(s) <> r.Task.t_mem then
+  if pins >= 0 && t.size.(s) <> mem then
     invalid_arg
       (Printf.sprintf "Residency.touch: tile %d is resident with %g bytes, referenced with %g"
-         r.Task.tile t.mem.(s) r.Task.t_mem);
+         t.refs.tile.(s) t.size.(s) mem);
   t.last_use.(s) <- tick t;
   if pins >= 0 then begin
-    if pins = 0 then t.pinned_bytes <- t.pinned_bytes +. t.mem.(s);
+    if pins = 0 then t.pinned_bytes <- t.pinned_bytes +. t.size.(s);
     t.pins.(s) <- pins + 1;
     t.hits <- t.hits + 1;
-    t.hit_comm <- t.hit_comm +. r.Task.t_comm;
+    t.hit_comm <- t.hit_comm +. comm;
     `Hit
   end
   else begin
     t.pins.(s) <- 1;
-    t.comm.(s) <- r.Task.t_comm;
-    t.mem.(s) <- r.Task.t_mem;
-    t.resident <- t.resident + 1;
-    t.resident_bytes <- t.resident_bytes +. r.Task.t_mem;
-    t.pinned_bytes <- t.pinned_bytes +. r.Task.t_mem;
+    t.refetch.(s) <- comm;
+    t.size.(s) <- mem;
+    t.resident_bytes <- t.resident_bytes +. mem;
+    t.pinned_bytes <- t.pinned_bytes +. mem;
     t.misses <- t.misses + 1;
-    t.miss_comm <- t.miss_comm +. r.Task.t_comm;
+    t.miss_comm <- t.miss_comm +. comm;
     `Miss
   end
 
-let touch t (r : Task.tile_ref) = touch_slot t (slot t r.Task.tile) r
-
-let unpin_slot t s =
+let unpin t s =
   let pins = t.pins.(s) in
-  if pins < 0 then invalid_arg (Printf.sprintf "Residency.unpin: tile %d not resident" t.tile.(s));
-  if pins = 0 then invalid_arg (Printf.sprintf "Residency.unpin: tile %d not pinned" t.tile.(s));
+  if pins < 0 then
+    invalid_arg (Printf.sprintf "Residency.unpin: tile %d not resident" t.refs.tile.(s));
+  if pins = 0 then invalid_arg (Printf.sprintf "Residency.unpin: tile %d not pinned" t.refs.tile.(s));
   t.pins.(s) <- pins - 1;
   if pins = 1 then begin
-    t.pinned_bytes <- t.pinned_bytes -. t.mem.(s);
+    t.pinned_bytes <- t.pinned_bytes -. t.size.(s);
     (* the slot's earlier stamps, if any, are stale from now on *)
     Iheap.add t.victims
-      { s_tile = t.tile.(s); s_slot = s; s_use = t.last_use.(s); s_comm = t.comm.(s) }
+      { s_tile = t.refs.tile.(s); s_slot = s; s_use = t.last_use.(s); s_comm = t.refetch.(s) }
   end
 
-let unpin t tile =
-  match Tiles.find t.slots tile with
-  | s -> unpin_slot t s
-  | exception Not_found -> invalid_arg (Printf.sprintf "Residency.unpin: tile %d not resident" tile)
-
-(* The slot of the unpinned victim the policy would evict next, or -1: the
-   least stamp that is still valid. Each unpinned resident tile has
+(* The least stamp that is still valid. Each unpinned resident tile has
    exactly one valid stamp (the one under its [last_use], which no other
    tile holds), so this is the least unpinned tile by (last_use, id), or
    by (comm, last_use, id); stale stamps that surface are dropped. *)
@@ -194,25 +200,11 @@ let rec victim t =
         victim t
       end
 
-let evict_candidate t =
-  let s = victim t in
-  if s < 0 then None else Some t.tile.(s)
-
-let evict_slot t s =
+let evict t s =
   let pins = t.pins.(s) in
-  if pins < 0 then invalid_arg (Printf.sprintf "Residency.evict: tile %d not resident" t.tile.(s));
-  if pins > 0 then invalid_arg (Printf.sprintf "Residency.evict: tile %d is pinned" t.tile.(s));
+  if pins < 0 then
+    invalid_arg (Printf.sprintf "Residency.evict: tile %d not resident" t.refs.tile.(s));
+  if pins > 0 then invalid_arg (Printf.sprintf "Residency.evict: tile %d is pinned" t.refs.tile.(s));
   t.pins.(s) <- -1;
-  t.resident <- t.resident - 1;
-  t.resident_bytes <- t.resident_bytes -. t.mem.(s);
+  t.resident_bytes <- t.resident_bytes -. t.size.(s);
   t.evictions <- t.evictions + 1
-
-let evict t tile =
-  match Tiles.find t.slots tile with
-  | s -> evict_slot t s
-  | exception Not_found -> invalid_arg (Printf.sprintf "Residency.evict: tile %d not resident" tile)
-
-let evict_next t =
-  let s = victim t in
-  if s >= 0 then evict_slot t s;
-  s >= 0

@@ -11,16 +11,17 @@
     memory. Eviction costs nothing now — the price is the refetch if the
     tile is referenced again.
 
-    {b Slots.} Tile ids are global names, an array's base plus a tile
-    index, so they may be sparse and large. The set interns each id the
-    first time it sees it: {!slot} gives it the next dense slot, for
-    good, through the one hash table of the set. A tile's state (pin
-    count, last use, refetch cost, memory share) lives in flat arrays by
-    slot, so a caller holding slots reads and writes it with no lookup
-    ({!slot_pins}, {!touch_slot}, {!unpin_slot}, {!evict_next}); the
-    id-level functions look the slot up first. A slot outlives its
-    tile's eviction, so the set's memory grows with the distinct tiles
-    it has seen, not with the tiles resident. *)
+    {b Refs and slots.} A set serves one run: {!create} interns every
+    tile reference of the run's tasks once, into the flat arrays of
+    {!refs}. Tile ids are global names, an array's base plus a tile
+    index, so they may be sparse and large; each distinct id gets a
+    dense {e slot}, [0, 1, 2, ...] in the order the tasks' tiles first
+    name it, and the id → slot table is dropped once [create] returns.
+    A tile's state (pin count, last use, refetch cost, memory share)
+    lives in flat arrays by slot, so every operation is an array access:
+    {!touch} takes a ref, {!pins}, {!unpin} and {!evict} take a slot,
+    and no function takes a tile id. The set's memory grows with the
+    run's refs and distinct tiles, not with the tiles resident. *)
 
 type policy =
   | Lru          (** evict the least recently used unpinned tile *)
@@ -38,10 +39,27 @@ type stats = {
   miss_comm : float; (** transfer time paid on misses *)
 }
 
+type refs = {
+  first : int array;
+      (** by task index, length n + 1: task [u]'s input tiles are refs
+          [first.(u)] to [first.(u + 1) - 1], in the order of its
+          [tiles] list *)
+  slot : int array;  (** by ref: the tile's slot *)
+  comm : float array; (** by ref: the reference's transfer share [t_comm] *)
+  mem : float array;  (** by ref: the reference's memory share [t_mem] *)
+  tile : int array;   (** by slot: the tile id *)
+}
+(** A run's tile references, as flat arrays so that decision loops and
+    executors read them with no lookup and no boxing. *)
+
 type t
 
-val create : ?policy:policy -> unit -> t
-(** An empty residency set (default policy {!Lru}). *)
+val create : ?policy:policy -> Task.t array -> t
+(** An empty residency set (default policy {!Lru}) over the tile
+    references of the given tasks, interned into {!refs}. O(refs). *)
+
+val refs : t -> refs
+(** The interned references; they never change. *)
 
 val resident_bytes : t -> float
 (** Memory currently held by resident tiles (pinned or not). *)
@@ -49,35 +67,29 @@ val resident_bytes : t -> float
 val pinned_bytes : t -> float
 (** Memory held by tiles with at least one pin. *)
 
-val resident_tiles : t -> int
-val is_resident : t -> int -> bool
-
-val pin_count : t -> int -> int
-(** [0] when the tile is not resident. *)
-
-val pins : t -> int -> int
-(** The tile's pin count when it is resident, [-1] when it is not:
-    {!is_resident} and {!pin_count} in one table lookup. *)
-
 val stats : t -> stats
 
-val touch : t -> Task.tile_ref -> [ `Hit | `Miss ]
-(** Reference a tile at a task's communication start: a resident tile is
-    a hit, an absent one is admitted (miss). Pins the tile either way;
-    the caller must {!unpin} it at the task's computation end. On a miss
-    the tile's memory is charged to {!resident_bytes}. Raises
-    [Invalid_argument] naming the tile, and changes nothing, when the
-    tile is resident with a memory share other than the reference's
-    [t_mem] (transfer shares may differ). *)
+val pins : t -> int -> int
+(** The pin count of the slot's tile when it is resident, [-1] when it
+    is not: an array read. *)
+
+val touch : t -> int -> [ `Hit | `Miss ]
+(** Reference ref [j]'s tile at its task's communication start: a
+    resident tile is a hit, an absent one is admitted (miss). Pins the
+    tile either way; the caller must {!unpin} its slot at the task's
+    computation end. On a miss the tile's memory is charged to
+    {!resident_bytes}. Raises [Invalid_argument] naming the tile, and
+    changes nothing, when the tile is resident with a memory share other
+    than the reference's (transfer shares may differ). *)
 
 val unpin : t -> int -> unit
-(** Release one pin. Raises [Invalid_argument] if the tile is not
-    resident or not pinned. *)
+(** Release one pin of the slot's tile. Raises [Invalid_argument] naming
+    the tile if it is not resident or not pinned. *)
 
-val evict_candidate : t -> int option
-(** The unpinned tile the policy would evict next ([None] when every
-    resident tile is pinned). Deterministic: ties break by recency and
-    tile id, never by hash order or slot.
+val victim : t -> int
+(** The slot of the unpinned tile the policy would evict next, [-1] when
+    every resident tile is pinned. Deterministic: ties break by recency
+    and tile id, never by hash order or slot.
 
     O(log r) amortized over r resident tiles: the set keeps a min-heap of
     stamps (tile, slot, last use, refetch cost), one pushed whenever a
@@ -89,28 +101,5 @@ val evict_candidate : t -> int option
     at most one stamp per unpin made on the set. *)
 
 val evict : t -> int -> unit
-(** Remove an unpinned resident tile. Raises [Invalid_argument] if the
-    tile is absent or pinned. *)
-
-(** {1 Slot-level access}
-
-    For executors and decision loops that resolve each tile id once. A
-    slot is only meaningful for the set that gave it. *)
-
-val slot : t -> int -> int
-(** The tile's slot: the one it was given when the set first saw it, or
-    the next free one, given now. Slots are [0, 1, 2, ...] in the order
-    the set first sees the tiles. Interning changes no residency state. *)
-
-val slot_pins : t -> int -> int
-(** {!pins} by slot: an array read. *)
-
-val touch_slot : t -> int -> Task.tile_ref -> [ `Hit | `Miss ]
-(** {!touch} on a reference whose tile has this slot. *)
-
-val unpin_slot : t -> int -> unit
-(** {!unpin} by slot. *)
-
-val evict_next : t -> bool
-(** Evict the tile {!evict_candidate} names; [false], and no change,
-    when every resident tile is pinned. *)
+(** Remove the slot's tile, unpinned and resident. Raises
+    [Invalid_argument] naming the tile if it is absent or pinned. *)

@@ -213,21 +213,27 @@ let run_two_orders ?state ~capacity ~comm_order comp_order =
    same order: bit-identity to the flat model (QCheck-pinned). *)
 
 type cached_event = {
-  ev_time : float;       (* computation end *)
-  ev_free : float;       (* private memory released *)
-  ev_unpin : int array;  (* residency slots of the input tiles unpinned *)
+  ev_time : float;  (* computation end *)
+  ev_free : float;  (* private memory released *)
+  ev_task : int;    (* the task whose input tiles are unpinned *)
 }
 
 type cached_state = {
   cbase : state; (* link/cpu clocks + private memory in use; its
                     [releases] queue is unused — [cevents] replaces it,
                     carrying the unpins too *)
-  cres : Residency.t;
+  ctasks : Task.t array; (* the run's tasks, named by their index *)
+  cres : Residency.t; (* interned over [ctasks] *)
   cevents : cached_event Queue.t; (* pushed in nondecreasing time order *)
 }
 
-let cached_state ?policy () =
-  { cbase = initial_state (); cres = Residency.create ?policy (); cevents = Queue.create () }
+let cached_state ?policy tasks =
+  {
+    cbase = initial_state ();
+    ctasks = tasks;
+    cres = Residency.create ?policy tasks;
+    cevents = Queue.create ();
+  }
 
 let cached_residency cs = cs.cres
 let cached_link_free cs = cs.cbase.link_free
@@ -235,8 +241,9 @@ let cached_cpu_free cs = cs.cbase.cpu_free
 
 let apply_cached_event cs ev =
   cs.cbase.used <- cs.cbase.used -. ev.ev_free;
-  for i = 0 to Array.length ev.ev_unpin - 1 do
-    Residency.unpin_slot cs.cres ev.ev_unpin.(i)
+  let refs = Residency.refs cs.cres in
+  for j = refs.Residency.first.(ev.ev_task) to refs.Residency.first.(ev.ev_task + 1) - 1 do
+    Residency.unpin cs.cres refs.Residency.slot.(j)
   done
 
 let process_cached_until cs time =
@@ -260,8 +267,6 @@ let cached_advance_to_next_event cs =
       if ev.ev_time > cs.cbase.link_free then cs.cbase.link_free <- ev.ev_time;
       true
 
-let sum_ref_mem refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.t_mem) 0.0 refs
-
 (* Memory no eviction can reclaim: private memory in use + pinned tiles.
    The left operand of a decision loop's fit test: a task can start now,
    evicting on demand every unpinned tile it does not read itself, iff
@@ -269,70 +274,71 @@ let sum_ref_mem refs = List.fold_left (fun a (r : Task.tile_ref) -> a +. r.Task.
    has to bring in <= kcap]; with no resident tile, [unevictable + mem]. *)
 let cached_unevictable cs = cs.cbase.used +. Residency.pinned_bytes cs.cres
 
-(* The residency slots of the tiles, in tile order. *)
-let slots_of res tiles =
-  let a = Array.make (List.length tiles) 0 in
-  List.iteri (fun i (r : Task.tile_ref) -> a.(i) <- Residency.slot res r.Task.tile) tiles;
-  a
-
-let schedule_task_cached cs ~capacity (task : Task.t) =
-  let st = cs.cbase and res = cs.cres in
+let schedule_task_cached cs ~capacity u =
+  let st = cs.cbase and res = cs.cres and task = cs.ctasks.(u) in
   if task.Task.mem > capacity *. (1.0 +. 1e-12) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_task_cached: task %d needs %g > capacity %g"
          task.Task.id task.Task.mem capacity);
   let kcap = capacity *. (1.0 +. 1e-12) in
   process_cached_until cs st.link_free;
-  let slots = slots_of res task.Task.tiles in
+  let refs = Residency.refs res in
+  let lo = refs.Residency.first.(u) and hi = refs.Residency.first.(u + 1) - 1 in
   (* Pin the tiles that are resident right now, before any eviction below
-     could throw them out, summing their shares in tile order; the rest is
-     admitted once the memory fit is secured. Waiting only unpins and
-     evicts, so the tiles absent now are the ones still absent then, and
-     each of those misses. *)
-  let hit_mem = ref 0.0 and eff = ref task.Task.comm in
-  List.iteri
-    (fun i (r : Task.tile_ref) ->
-      if Residency.slot_pins res slots.(i) >= 0 then begin
-        ignore (Residency.touch_slot res slots.(i) r);
-        hit_mem := !hit_mem +. r.Task.t_mem;
-        eff := !eff -. r.Task.t_comm
-      end)
-    task.Task.tiles;
+     could throw them out, summing their shares (and every tile's memory
+     share) in tile order; the rest is admitted once the memory fit is
+     secured. Waiting only unpins and evicts, so the tiles absent now are
+     the ones still absent then, and each of those misses. *)
+  let hit_mem = ref 0.0 and tile_mem = ref 0.0 and eff = ref task.Task.comm in
+  for j = lo to hi do
+    tile_mem := !tile_mem +. refs.Residency.mem.(j);
+    if Residency.pins res refs.Residency.slot.(j) >= 0 then begin
+      ignore (Residency.touch res j);
+      hit_mem := !hit_mem +. refs.Residency.mem.(j);
+      eff := !eff -. refs.Residency.comm.(j)
+    end
+  done;
   let need = task.Task.mem -. !hit_mem in
   let start = ref st.link_free in
   while st.used +. Residency.resident_bytes res +. need > kcap do
     (* evicting an unpinned tile is free; waiting for a release is not *)
-    if not (Residency.evict_next res) then
+    let s = Residency.victim res in
+    if s >= 0 then Residency.evict res s
+    else
       match Queue.take_opt cs.cevents with
       | None -> assert false (* task.mem <= capacity, so memory must free up *)
       | Some ev ->
           apply_cached_event cs ev;
           if ev.ev_time > !start then start := ev.ev_time
   done;
-  List.iteri
-    (fun i (r : Task.tile_ref) ->
-      if Residency.slot_pins res slots.(i) < 0 then ignore (Residency.touch_slot res slots.(i) r))
-    task.Task.tiles;
-  let eff = if task.Task.tiles = [] then task.Task.comm else Float.max 0.0 !eff in
+  for j = lo to hi do
+    if Residency.pins res refs.Residency.slot.(j) < 0 then ignore (Residency.touch res j)
+  done;
+  let eff = if lo > hi then task.Task.comm else Float.max 0.0 !eff in
   let s_comm = !start in
   let comm_end = s_comm +. eff in
   let s_comp = Float.max comm_end st.cpu_free in
   let comp_end = s_comp +. task.Task.comp in
   (* input-tile shares now live in the cache; only the private remainder
      is charged to (and released from) the task itself *)
-  let private_mem = task.Task.mem -. sum_ref_mem task.Task.tiles in
+  let private_mem = task.Task.mem -. !tile_mem in
   st.used <- st.used +. private_mem;
   st.link_free <- comm_end;
   st.cpu_free <- comp_end;
-  Queue.push { ev_time = comp_end; ev_free = private_mem; ev_unpin = slots } cs.cevents;
+  Queue.push { ev_time = comp_end; ev_free = private_mem; ev_task = u } cs.cevents;
   { Schedule.task = Task.charged task ~comm:eff; s_comm; s_comp }
 
 let run_order_cached ?policy ~capacity tasks =
-  let cs = cached_state ?policy () in
-  let rec loop acc = function
-    | [] -> Ok (Schedule.make ~capacity (List.rev acc), Residency.stats cs.cres)
-    | t :: rest ->
-        if t.Task.mem > capacity *. (1.0 +. 1e-12) then Error t
-        else loop (schedule_task_cached cs ~capacity t :: acc) rest
+  (* seeded with the long-lived filler: fresh tasks are young blocks *)
+  let order = Array.make (List.length tasks) Task.filler in
+  List.iteri (fun u t -> order.(u) <- t) tasks;
+  let cs = cached_state ?policy order in
+  let rec loop acc u =
+    if u = Array.length order then
+      Ok (Schedule.make ~capacity (List.rev acc), Residency.stats cs.cres)
+    else
+      let t = order.(u) in
+      if t.Task.mem > capacity *. (1.0 +. 1e-12) then Error t
+      else loop (schedule_task_cached cs ~capacity u :: acc) (u + 1)
   in
-  loop [] tasks
+  loop [] 0

@@ -121,8 +121,11 @@ val run_two_orders :
 
 type cached_state
 
-val cached_state : ?policy:Residency.policy -> unit -> cached_state
-(** Fresh clocks, empty memory, empty residency set (default {!Residency.Lru}). *)
+val cached_state : ?policy:Residency.policy -> Task.t array -> cached_state
+(** Fresh clocks, empty memory, and an empty residency set (default
+    {!Residency.Lru}) over the run's tasks, whose tiles it interns once
+    ({!Residency.create}). The state names a task by its index in this
+    array. *)
 
 val cached_residency : cached_state -> Residency.t
 val cached_link_free : cached_state -> float
@@ -148,12 +151,14 @@ val cached_unevictable : cached_state -> float
     unpinned ones among them; with no input tile resident, iff
     [cached_unevictable cs +. mem <= kcap]. *)
 
-val schedule_task_cached : cached_state -> capacity:float -> Task.t -> Schedule.entry
-(** Start the task's communication at the earliest fitting instant
-    (evicting unpinned tiles before waiting for releases), then its
-    computation. Each tile reference is resolved to its {!Residency}
-    slot once; the task's completion event unpins by slot. Raises
-    [Invalid_argument] when the task alone exceeds the capacity. *)
+val schedule_task_cached : cached_state -> capacity:float -> int -> Schedule.entry
+(** Start the communication of the task with this index at the earliest
+    fitting instant (evicting unpinned tiles before waiting for
+    releases), then its computation. Its tile slots and shares are read
+    from the residency set's {!Residency.refs}, with no lookup and no
+    per-task array; its completion event names the task index and
+    unpins its tiles' slots. Raises [Invalid_argument] when the task
+    alone exceeds the capacity. *)
 
 val run_order_cached :
   ?policy:Residency.policy ->

@@ -248,7 +248,8 @@ let replay conn ~trace ~rate ?(policy = Engine.Corrected Corrected_rules.OOSCMR)
   let offline =
     let engine = Engine.create ~policy ~capacity () in
     List.iter (fun task -> ignore (Engine.submit engine task)) tasks;
-    Schedule.makespan (Engine.drain engine)
+    ignore (Engine.drain engine);
+    Engine.makespan engine
   in
   let gc1 = Gc.quick_stat () and w1 = Gc.minor_words () in
   let sorted = Array.of_list !latencies in

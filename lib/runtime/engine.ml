@@ -106,7 +106,7 @@ let drain t =
   t.fresh <- List.rev_append fresh t.fresh;
   t.n_pending <- t.n_pending - n;
   t.n_scheduled <- t.n_scheduled + n;
-  schedule t
+  fresh
 
 let take_new_entries t =
   let taken = List.rev t.fresh in

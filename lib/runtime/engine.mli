@@ -88,11 +88,15 @@ val makespan : t -> float
 (** Completion time of the last scheduled computation so far ([0.] before
     any task is scheduled). *)
 
-val drain : t -> Dt_core.Schedule.t
+val drain : t -> Dt_core.Schedule.entry list
 (** Run the decision loop until every submitted task is scheduled
     (advancing virtual time through arrivals as needed) and return the
-    full schedule so far. The engine stays usable: later submissions
-    continue from the drained state, as in batched scheduling. *)
+    entries it scheduled now, in scheduling order: O(new work), however
+    long the session has run. {!makespan} and {!scheduled} then answer
+    for the whole schedule in O(1) ({!makespan} equals
+    [Schedule.makespan (schedule t)] bit for bit), and {!schedule}
+    rebuilds it. The engine stays usable: later submissions continue
+    from the drained state, as in batched scheduling. *)
 
 val schedule : t -> Dt_core.Schedule.t
 (** The schedule of everything scheduled so far, without draining. *)

@@ -24,7 +24,11 @@ label     = 1*(VCHAR without SP)
     Responses are a single [OK ...] or [ERR <code> <message>] line,
     except [ENTRIES] (head line [OK n=<k>]) and [POLL] (head line
     [OK new=<k> ...]), whose head is followed by [k] lines
-    [ENTRY <id> <label> <s_comm> <s_comp>]. Error codes: [parse]
+    [ENTRY <id> <label> <s_comm> <s_comp>]. [DRAIN] schedules every
+    pending task and answers [OK makespan=<m> scheduled=<n>] for the
+    whole session so far, from the engine's running figures: its cost
+    is the work it schedules, not the session's length, and a [DRAIN]
+    with nothing pending repeats the previous answer. Error codes: [parse]
     (malformed request, or a request line longer than the server's
     bound — the latter also closes the connection), [state] (e.g.
     SUBMIT before INIT), [busy] (backpressure: either the pending queue

@@ -101,11 +101,11 @@ let dispatch t (request : Protocol.request) =
         Continue )
   | Drain ->
       ( with_engine t (fun e ->
-            let sched = Engine.drain e in
+            ignore (Engine.drain e);
             [
               Protocol.ok
-                (Printf.sprintf "makespan=%.17g scheduled=%d"
-                   (Schedule.makespan sched) (Engine.scheduled e));
+                (Printf.sprintf "makespan=%.17g scheduled=%d" (Engine.makespan e)
+                   (Engine.scheduled e));
             ]),
         Continue )
 

@@ -210,22 +210,30 @@ end
 module Cached = struct
   (* Sim.effective_comm and Sim.cached_fits_now, moved here from the
      simulator with their last caller: the same expressions, through the
-     simulator's accessors. *)
+     simulator's accessors. A task is named by its index in the run, and
+     its tiles' residency is read through its refs: ref [j]'s slot and
+     shares, in tile order. *)
+
+  (* Fold over task [u]'s resident input tiles, in tile order: [f acc j
+     pins] for each ref [j] whose tile is resident with [pins] pins. *)
+  let fold_resident cs u f init =
+    let res = Sim.cached_residency cs in
+    let refs = Residency.refs res in
+    let acc = ref init in
+    for j = refs.Residency.first.(u) to refs.Residency.first.(u + 1) - 1 do
+      let pins = Residency.pins res refs.Residency.slot.(j) in
+      if pins >= 0 then acc := f !acc j pins
+    done;
+    !acc
 
   (* Transfer time the task would actually pay right now: the full comm
      minus the shares of its currently-resident tiles. *)
-  let effective_comm cs (task : Task.t) =
+  let effective_comm cs (u, (task : Task.t)) =
     match task.Task.tiles with
     | [] -> task.Task.comm
-    | tiles ->
-        let saved =
-          List.fold_left
-            (fun a (r : Task.tile_ref) ->
-              if Residency.is_resident (Sim.cached_residency cs) r.Task.tile then
-                a +. r.Task.t_comm
-              else a)
-            0.0 tiles
-        in
+    | _ ->
+        let refs = Residency.refs (Sim.cached_residency cs) in
+        let saved = fold_resident cs u (fun a j _ -> a +. refs.Residency.comm.(j)) 0.0 in
         Float.max 0.0 (task.Task.comm -. saved)
 
   (* Could the task start right now, allowing on-demand eviction of every
@@ -233,22 +241,19 @@ module Cached = struct
      is: the unevictable memory + the task's own resident unpinned tiles
      (kept, they are about to be pinned) + the memory it still has to
      bring in. *)
-  let cached_fits_now cs ~kcap (task : Task.t) =
+  let cached_fits_now cs ~kcap (u, (task : Task.t)) =
     Sim.settle_cached cs;
-    let res = Sim.cached_residency cs in
+    let refs = Residency.refs (Sim.cached_residency cs) in
     let resident_t, resident_unpinned_t =
-      List.fold_left
-        (fun (res_m, unp_m) (r : Task.tile_ref) ->
-          if Residency.is_resident res r.Task.tile then
-            ( res_m +. r.Task.t_mem,
-              if Residency.pin_count res r.Task.tile = 0 then unp_m +. r.Task.t_mem
-              else unp_m )
-          else (res_m, unp_m))
-        (0.0, 0.0) task.Task.tiles
+      fold_resident cs u
+        (fun (res_m, unp_m) j pins ->
+          let m = refs.Residency.mem.(j) in
+          (res_m +. m, if pins = 0 then unp_m +. m else unp_m))
+        (0.0, 0.0)
     in
     Sim.cached_unevictable cs +. resident_unpinned_t +. (task.Task.mem -. resident_t) <= kcap
 
-  let select ?(min_idle_filter = true) criterion ~cstate ~kcap ~cpu_free ~now candidates =
+  let select criterion ~cstate ~kcap ~cpu_free ~now candidates =
     let fitting =
       List.filter (fun t -> cached_fits_now cstate ~kcap t) candidates
     in
@@ -258,26 +263,23 @@ module Cached = struct
     | [] -> None
     | first :: _ ->
         let eligible =
-          if not min_idle_filter then fitting
-          else begin
-            let min_idle =
-              List.fold_left (fun acc t -> Float.min acc (idle t)) (idle first) fitting
-            in
-            List.filter (fun t -> idle t <= min_idle +. 1e-12) fitting
-          end
+          let min_idle =
+            List.fold_left (fun acc t -> Float.min acc (idle t)) (idle first) fitting
+          in
+          List.filter (fun t -> idle t <= min_idle +. 1e-12) fitting
         in
         let key =
           match criterion with
           | Dynamic_rules.LCMR -> eff
           | Dynamic_rules.SCMR -> fun t -> -.eff t
           | Dynamic_rules.MAMR ->
-              fun t ->
+              fun ((_, task) as t) ->
                 let c = eff t in
-                if c = 0.0 then Float.infinity else t.Task.comp /. c
+                if c = 0.0 then Float.infinity else task.Task.comp /. c
         in
-        let better a b =
+        let better ((_, ta) as a) ((_, tb) as b) =
           let c = Float.compare (key a) (key b) in
-          if c > 0 then true else if c < 0 then false else Task.compare_id a b < 0
+          if c > 0 then true else if c < 0 then false else Task.compare_id ta tb < 0
         in
         let best = function
           | [] -> None
@@ -286,12 +288,12 @@ module Cached = struct
         in
         best eligible
 
-  let run ?policy ?cstate ?min_idle_filter criterion instance =
+  let run ?policy criterion instance =
     let capacity = instance.Instance.capacity in
-    let cs = match cstate with Some c -> c | None -> Sim.cached_state ?policy () in
-    let tasks = Instance.task_list instance in
+    let cs = Sim.cached_state ?policy instance.Instance.tasks in
+    let tasks = List.mapi (fun u t -> (u, t)) (Instance.task_list instance) in
     List.iter
-      (fun t ->
+      (fun (_, t) ->
         if t.Task.mem > capacity *. (1.0 +. 1e-12) then
           invalid_arg
             (Printf.sprintf "Cached_rules.run: task %d needs %g > capacity %g" t.Task.id
@@ -303,12 +305,12 @@ module Cached = struct
     while !remaining <> [] do
       Sim.settle_cached cs;
       match
-        select ?min_idle_filter criterion ~cstate:cs ~kcap
-          ~cpu_free:(Sim.cached_cpu_free cs) ~now:(Sim.cached_link_free cs) !remaining
+        select criterion ~cstate:cs ~kcap ~cpu_free:(Sim.cached_cpu_free cs)
+          ~now:(Sim.cached_link_free cs) !remaining
       with
-      | Some t ->
-          entries := Sim.schedule_task_cached cs ~capacity t :: !entries;
-          remaining := List.filter (fun u -> u.Task.id <> t.Task.id) !remaining
+      | Some (u, _) ->
+          entries := Sim.schedule_task_cached cs ~capacity u :: !entries;
+          remaining := List.filter (fun (v, _) -> v <> u) !remaining
       | None ->
           (* Nothing fits: wait for the next completion. All tasks fit
              the capacity alone, so an event must exist. *)

@@ -17,6 +17,11 @@ let same_schedule a b =
          && x.Schedule.s_comp = y.Schedule.s_comp)
        ea eb
 
+(* Drain the engine, then read its whole schedule so far. *)
+let drained eng =
+  ignore (Engine.drain eng);
+  Engine.schedule eng
+
 (* Larger instances than the default generator: deep release/blocked
    interleavings only appear past a few dozen tasks. *)
 let instance_gen = Generators.instance_gen ~min_size:1 ~max_size:40 ()
@@ -75,7 +80,7 @@ let engine_prop policy =
                    (Engine.admission_to_string a));
           Reference.Eng.submit reference ~arrival task)
         (Instance.task_list i) arrivals;
-      same_schedule (Engine.drain eng) (Reference.Eng.drain reference))
+      same_schedule (drained eng) (Reference.Eng.drain reference))
 
 (* Satellite: an out-of-order (here: fully reversed) submission stream
    must land on the same schedule as the in-order one — the arrival heap
@@ -88,7 +93,7 @@ let reversed_replay_prop =
       let run order =
         let eng = Engine.create ~capacity () in
         List.iter (fun (task, arrival) -> ignore (Engine.submit eng ~arrival task)) order;
-        Engine.drain eng
+        drained eng
       in
       same_schedule (run pairs) (run (List.rev pairs)))
 
@@ -223,34 +228,32 @@ let engine_two_batch_prop policy =
           tasks arrivals
       in
       submit_all (Instance.task_list i1) arrivals;
-      let first = same_schedule (Engine.drain eng) (Reference.Eng.drain reference) in
+      let first = same_schedule (drained eng) (Reference.Eng.drain reference) in
       let now = Engine.now eng in
       submit_all (Instance.task_list i2)
         (List.map (fun d -> Float.max 0.0 (now +. d)) offsets);
-      first && same_schedule (Engine.drain eng) (Reference.Eng.drain reference))
+      first && same_schedule (drained eng) (Reference.Eng.drain reference))
 
 (* The evict-aware loop (Candidates index for the cold tasks, a scanned
    warm set) against the frozen list scan, on tiled instances whose tasks
    share pool tiles: entries and cache statistics must agree under both
    eviction policies, and the schedule must pass the cached validator
    (the frozen scan runs on the same executor, so the pin alone would
-   not see the executor go wrong). *)
+   not see the executor go wrong). The loop always filters by min idle
+   time, as the name says. *)
 let tiled_gen = Generators.tiled_instance_gen ~min_size:1 ~max_size:40 ()
 
-let cached_prop criterion filter =
+let cached_prop criterion =
   Generators.prop_test ~count:300
     ~name:
-      (Printf.sprintf "Cached %s (min-idle %s) = reference, entries and stats"
-         (Dynamic_rules.name criterion)
-         (if filter then "on" else "off"))
+      (Printf.sprintf "Cached %s (min-idle on) = reference, entries and stats"
+         (Dynamic_rules.name criterion))
     tiled_gen
     (fun i ->
       List.for_all
         (fun policy ->
-          let sched, stats = Cached_rules.run ~policy ~min_idle_filter:filter criterion i in
-          let ref_sched, ref_stats =
-            Reference.Cached.run ~policy ~min_idle_filter:filter criterion i
-          in
+          let sched, stats = Cached_rules.run ~policy criterion i in
+          let ref_sched, ref_stats = Reference.Cached.run ~policy criterion i in
           same_schedule sched ref_sched && stats = ref_stats
           && Generators.check_cached_feasible i sched)
         Residency.all_policies)
@@ -689,11 +692,11 @@ let resubmitted_task_waits () =
   in
   List.iter (fun t -> submit t 0.0) [ d; c; a ];
   Alcotest.(check bool) "first drain = reference" true
-    (same_schedule (Engine.drain eng) (Reference.Eng.drain reference));
+    (same_schedule (drained eng) (Reference.Eng.drain reference));
   submit a 1000.0;
   submit e 0.0;
   Alcotest.(check bool) "second drain = reference" true
-    (same_schedule (Engine.drain eng) (Reference.Eng.drain reference));
+    (same_schedule (drained eng) (Reference.Eng.drain reference));
   Alcotest.(check int) "each submission scheduled once" 5 (Engine.scheduled eng)
 
 (* Entries on small grids, so that [s_comm] and [s_comp] often tie and
@@ -755,9 +758,7 @@ let suite =
       [ corrected_two_orders_prop ];
       [ dynamic_state_prop; corrected_state_prop ];
       List.map engine_two_batch_prop Engine.all_policies;
-      List.concat_map
-        (fun c -> [ cached_prop c true; cached_prop c false ])
-        Dynamic_rules.all;
+      List.map cached_prop Dynamic_rules.all;
       [
         candidates_model;
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;

@@ -13,70 +13,98 @@ let check_float = Alcotest.(check (float 1e-12))
 
 let ref_ ?(comm = 1.0) ?(mem = 1.0) tile = { Task.tile; t_comm = comm; t_mem = mem }
 
+(* A residency set over one task per reference: task [j] reads ref [j]'s
+   tile alone, so ref [j] is task [j]'s only ref. *)
+let cache ?policy refs =
+  Residency.create ?policy
+    (Array.of_list
+       (List.mapi
+          (fun id (r : Task.tile_ref) ->
+            Task.make ~id ~comm:r.Task.t_comm ~comp:1.0 ~mem:r.Task.t_mem ~tiles:[ r ] ())
+          refs))
+
+(* Ref [j]'s slot, and a slot's tile id. *)
+let slot r j = (Residency.refs r).Residency.slot.(j)
+let tile r s = (Residency.refs r).Residency.tile.(s)
+
+let victim r =
+  let s = Residency.victim r in
+  if s < 0 then None else Some (tile r s)
+
 let touch_lifecycle () =
-  let r = Residency.create () in
-  Alcotest.(check bool) "miss first" true (Residency.touch r (ref_ 1) = `Miss);
-  Alcotest.(check bool) "hit second" true (Residency.touch r (ref_ 1) = `Hit);
-  Alcotest.(check int) "two pins" 2 (Residency.pin_count r 1);
+  let r = cache [ ref_ 1; ref_ 1 ] in
+  Alcotest.(check int) "one slot per tile" (slot r 0) (slot r 1);
+  Alcotest.(check bool) "miss first" true (Residency.touch r 0 = `Miss);
+  Alcotest.(check bool) "hit second" true (Residency.touch r 1 = `Hit);
+  Alcotest.(check int) "two pins" 2 (Residency.pins r (slot r 0));
   check_float "resident" 1.0 (Residency.resident_bytes r);
   check_float "pinned" 1.0 (Residency.pinned_bytes r);
-  Residency.unpin r 1;
+  Residency.unpin r (slot r 0);
   check_float "still pinned" 1.0 (Residency.pinned_bytes r);
-  Residency.unpin r 1;
+  Residency.unpin r (slot r 1);
   check_float "unpinned" 0.0 (Residency.pinned_bytes r);
   let s = Residency.stats r in
   Alcotest.(check int) "hits" 1 s.Residency.hits;
   Alcotest.(check int) "misses" 1 s.Residency.misses
 
 let unpin_errors () =
-  let r = Residency.create () in
+  let r = cache [ ref_ 9; ref_ 3 ] in
+  Alcotest.(check int) "not resident" (-1) (Residency.pins r (slot r 0));
   Alcotest.check_raises "absent" (Invalid_argument "Residency.unpin: tile 9 not resident")
-    (fun () -> Residency.unpin r 9);
-  ignore (Residency.touch r (ref_ 3));
-  Residency.unpin r 3;
+    (fun () -> Residency.unpin r (slot r 0));
+  Alcotest.check_raises "evict absent" (Invalid_argument "Residency.evict: tile 9 not resident")
+    (fun () -> Residency.evict r (slot r 0));
+  ignore (Residency.touch r 1);
+  Residency.unpin r (slot r 1);
   Alcotest.check_raises "not pinned" (Invalid_argument "Residency.unpin: tile 3 not pinned")
-    (fun () -> Residency.unpin r 3)
+    (fun () -> Residency.unpin r (slot r 1))
 
 let eviction_policies () =
-  (* tile 1: old, expensive; tile 2: middle, cheap; tile 3: recent *)
+  (* tile 1: old, expensive; tile 2: middle, cheap; tile 3: recent; ref
+     3 reads tile 2 again *)
+  let refs = [ ref_ ~comm:5.0 1; ref_ ~comm:1.0 2; ref_ ~comm:3.0 3; ref_ ~comm:1.0 2 ] in
   let fill r =
     List.iter
-      (fun (t, c) ->
-        ignore (Residency.touch r (ref_ ~comm:c t));
-        Residency.unpin r t)
-      [ (1, 5.0); (2, 1.0); (3, 3.0) ]
+      (fun j ->
+        ignore (Residency.touch r j);
+        Residency.unpin r (slot r j))
+      [ 0; 1; 2 ]
   in
-  let lru = Residency.create ~policy:Residency.Lru () in
+  let lru = cache ~policy:Residency.Lru refs in
   fill lru;
-  Alcotest.(check (option int)) "lru evicts oldest" (Some 1) (Residency.evict_candidate lru);
-  let mr = Residency.create ~policy:Residency.Min_refetch () in
+  Alcotest.(check (option int)) "lru evicts oldest" (Some 1) (victim lru);
+  let mr = cache ~policy:Residency.Min_refetch refs in
   fill mr;
-  Alcotest.(check (option int)) "min-refetch evicts cheapest" (Some 2)
-    (Residency.evict_candidate mr);
+  Alcotest.(check (option int)) "min-refetch evicts cheapest" (Some 2) (victim mr);
   (* pinning protects a tile from eviction *)
-  ignore (Residency.touch mr (ref_ ~comm:1.0 2));
-  Alcotest.(check (option int)) "pinned tile skipped" (Some 3) (Residency.evict_candidate mr);
+  ignore (Residency.touch mr 3);
+  Alcotest.(check (option int)) "pinned tile skipped" (Some 3) (victim mr);
   Alcotest.check_raises "evict pinned" (Invalid_argument "Residency.evict: tile 2 is pinned")
-    (fun () -> Residency.evict mr 2)
+    (fun () -> Residency.evict mr (slot mr 3))
 
-(* The stamp heap behind [evict_candidate] against the fold it replaced
-   (frozen in [Reference.Res]): random interleavings of touches, unpins
-   and evictions, applied to both, must leave the same victim after
-   every step. Tile ids are sparse (k lsl 20, so they would share one
-   bucket under an identity hash) and refetch costs take two values, so
-   min-refetch breaks most choices by recency. An unpin or an evict
-   names the k-th pinned or unpinned tile, as the frozen set sees
-   them. *)
+(* The stamp heap behind [victim] against the fold it replaced (frozen,
+   with its id-level API, as [Reference.Res]): random interleavings of
+   touches, unpins and evictions, applied to both, must leave the same
+   victim, pin counts and statistics after every step. The set serves
+   two tasks per pool tile, one per refetch cost. Tile ids are sparse
+   (k lsl 20, so they would share one bucket under an identity hash)
+   and refetch costs take two values, so min-refetch breaks most choices
+   by recency. An unpin names the k-th pinned tile, as the frozen set
+   sees them; an evict takes the victim. *)
 type res_op =
   | Touch of int * float
   | Unpin of int
-  | Evict of int
+  | Evict
 
 let pool_size = 12
 let pool_tile k = k lsl 20
 
 (* one memory share per tile, as [touch] requires *)
 let pool_ref k comm = ref_ ~comm ~mem:(float_of_int (1 + (k mod 3))) (pool_tile k)
+
+(* Task [2k] reads pool tile [k] at refetch cost 1, task [2k + 1] at 2. *)
+let pool_refs =
+  List.init (2 * pool_size) (fun u -> pool_ref (u / 2) (if u mod 2 = 0 then 1.0 else 2.0))
 
 let res_op_gen =
   let open QCheck2.Gen in
@@ -85,13 +113,13 @@ let res_op_gen =
     [
       (4, map2 (fun k c -> Touch (k, c)) k comm);
       (4, map (fun i -> Unpin i) nat);
-      (1, map (fun i -> Evict i) nat);
+      (1, return Evict);
     ]
 
 let res_op_print = function
   | Touch (k, c) -> Printf.sprintf "touch %d (comm %g)" (pool_tile k) c
   | Unpin i -> Printf.sprintf "unpin #%d" i
-  | Evict i -> Printf.sprintf "evict #%d" i
+  | Evict -> "evict the victim"
 
 let prop_evict_candidate =
   QCheck_alcotest.to_alcotest
@@ -102,42 +130,91 @@ let prop_evict_candidate =
        (fun ops ->
          List.for_all
            (fun policy ->
-             let r = Residency.create ~policy () and f = Reference.Res.create ~policy () in
-             let nth_tile i keep =
-               match List.filter keep (List.init pool_size pool_tile) with
-               | [] -> None
-               | tiles -> Some (List.nth tiles (i mod List.length tiles))
-             in
+             let r = cache ~policy pool_refs and f = Reference.Res.create ~policy () in
              let step op =
                match op with
                | Touch (k, c) ->
-                   Residency.touch r (pool_ref k c) = Reference.Res.touch f (pool_ref k c)
+                   Residency.touch r ((2 * k) + if c = 1.0 then 0 else 1)
+                   = Reference.Res.touch f (pool_ref k c)
                | Unpin i -> (
-                   match nth_tile i (fun t -> Reference.Res.pin_count f t > 0) with
-                   | None -> true
-                   | Some t ->
-                       Residency.unpin r t;
-                       Reference.Res.unpin f t;
-                       true)
-               | Evict i -> (
                    match
-                     nth_tile i (fun t ->
-                         Reference.Res.is_resident f t && Reference.Res.pin_count f t = 0)
+                     List.filter
+                       (fun k -> Reference.Res.pin_count f (pool_tile k) > 0)
+                       (List.init pool_size Fun.id)
                    with
-                   | None -> true
-                   | Some t ->
-                       Residency.evict r t;
-                       Reference.Res.evict f t;
+                   | [] -> true
+                   | ks ->
+                       let k = List.nth ks (i mod List.length ks) in
+                       Residency.unpin r (slot r (2 * k));
+                       Reference.Res.unpin f (pool_tile k);
                        true)
+               | Evict ->
+                   let s = Residency.victim r in
+                   if s >= 0 then begin
+                     Residency.evict r s;
+                     Reference.Res.evict f (tile r s)
+                   end;
+                   true
+             in
+             let pins_agree k =
+               let t = pool_tile k in
+               Residency.pins r (slot r (2 * k))
+               = if Reference.Res.is_resident f t then Reference.Res.pin_count f t else -1
              in
              List.for_all
                (fun op ->
                  step op
-                 && Residency.evict_candidate r = Reference.Res.evict_candidate f
-                 && Residency.resident_tiles r = Reference.Res.resident_tiles f
+                 && victim r = Reference.Res.evict_candidate f
+                 && List.for_all pins_agree (List.init pool_size Fun.id)
                  && Residency.stats r = Reference.Res.stats f)
                ops)
            Residency.all_policies))
+
+(* The ref table reproduces every task's tile list, on instances whose
+   tile ids differ only in their high bits: task by task and in tile
+   order, each ref's tile id through its slot and its shares bit for
+   bit; slots handed out 0, 1, 2, ... in the order the tasks first name
+   the tiles; and every tile absent. The pool's comm and mem shares are
+   equal, so the comm shares are halved to tell the two apart. *)
+let prop_ref_table =
+  Generators.prop_test ~name:"ref table = each task's tiles in order (spread ids)"
+    (Generators.tiled_instance_gen ~max_size:20 ~spread:true ())
+    (fun instance ->
+      let halve (t : Task.t) =
+        let half (r : Task.tile_ref) = { r with Task.t_comm = r.Task.t_comm /. 2.0 } in
+        Task.make ~id:t.Task.id ~comm:t.Task.comm ~comp:t.Task.comp ~mem:t.Task.mem
+          ~tiles:(List.map half t.Task.tiles) ()
+      in
+      let tasks = Array.map halve instance.Instance.tasks in
+      let r = Residency.create tasks in
+      let refs = Residency.refs r in
+      let first = refs.Residency.first and seen = Hashtbl.create 16 in
+      let bits = Int64.bits_of_float in
+      let ref_ok j (tr : Task.tile_ref) =
+        let s = refs.Residency.slot.(j) in
+        let expected =
+          match Hashtbl.find_opt seen tr.Task.tile with
+          | Some s -> s
+          | None ->
+              let s = Hashtbl.length seen in
+              Hashtbl.add seen tr.Task.tile s;
+              s
+        in
+        s = expected
+        && refs.Residency.tile.(s) = tr.Task.tile
+        && bits refs.Residency.comm.(j) = bits tr.Task.t_comm
+        && bits refs.Residency.mem.(j) = bits tr.Task.t_mem
+        && Residency.pins r s = -1
+      in
+      Array.length first = Array.length tasks + 1
+      && first.(0) = 0
+      && List.for_all
+           (fun u ->
+             let tiles = tasks.(u).Task.tiles in
+             first.(u + 1) - first.(u) = List.length tiles
+             && List.for_all2 ref_ok (List.init (List.length tiles) (fun k -> first.(u) + k)) tiles)
+           (List.init (Array.length tasks) Fun.id)
+      && Array.length refs.Residency.tile = Hashtbl.length seen)
 
 (* ------------------------ cached executor ------------------------- *)
 
@@ -215,13 +292,8 @@ let inconsistent_tile_sizes () =
   rejects "run_order_cached" (fun () -> Sim.run_order_cached ~capacity:3.0 [ t0; t1 ]);
   let instance = Instance.make_keep_ids ~capacity:3.0 [ t0; t1 ] in
   List.iter
-    (fun filter ->
-      List.iter
-        (fun c ->
-          rejects (Dynamic_rules.name c) (fun () ->
-              Cached_rules.run ~min_idle_filter:filter c instance))
-        Dynamic_rules.all)
-    [ true; false ]
+    (fun c -> rejects (Dynamic_rules.name c) (fun () -> Cached_rules.run c instance))
+    Dynamic_rules.all
 
 (* --------------------- degenerate bit-identity -------------------- *)
 
@@ -358,6 +430,7 @@ let suite =
     Alcotest.test_case "unpin errors" `Quick unpin_errors;
     Alcotest.test_case "eviction policies" `Quick eviction_policies;
     prop_evict_candidate;
+    prop_ref_table;
     Alcotest.test_case "hit skips transfer share" `Quick hit_skips_share;
     Alcotest.test_case "cached validator counts a shared tile once" `Quick
       shared_tile_counted_once;

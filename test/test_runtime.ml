@@ -21,7 +21,8 @@ let online_run policy instance =
   List.iter
     (fun task -> assert (Engine.submit engine task = Engine.Accepted))
     (Instance.task_list instance);
-  Engine.drain engine
+  ignore (Engine.drain engine);
+  Engine.schedule engine
 
 (* Bit-for-bit schedule identity: same tasks in the same slots with
    exactly equal (not approximately equal) start times. *)
@@ -64,7 +65,8 @@ let prop_online_schedules_valid =
               let arrival = Float.of_int (i mod 4) *. 0.75 in
               assert (Engine.submit engine ~arrival task = Engine.Accepted))
             (Instance.task_list instance);
-          let sched = Engine.drain engine in
+          ignore (Engine.drain engine);
+          let sched = Engine.schedule engine in
           Generators.check_feasible "online" instance sched
           && Schedule.size sched = Instance.size instance)
         Engine.all_policies)
@@ -74,11 +76,10 @@ let arrivals_are_honoured () =
   let engine = Engine.create ~capacity:10.0 () in
   let t = Task.make ~id:0 ~comm:1.0 ~comp:2.0 ~mem:1.0 () in
   assert (Engine.submit engine ~arrival:5.0 t = Engine.Accepted);
-  let sched = Engine.drain engine in
-  (match Schedule.entries sched with
+  (match Engine.drain engine with
   | [ e ] ->
       Alcotest.(check (float 0.0)) "s_comm = arrival" 5.0 e.Schedule.s_comm;
-      Alcotest.(check (float 0.0)) "makespan" 8.0 (Schedule.makespan sched)
+      Alcotest.(check (float 0.0)) "makespan" 8.0 (Engine.makespan engine)
   | _ -> Alcotest.fail "expected one entry");
   (* a better task that has not arrived yet cannot be chosen: with equal
      communication times (equal induced idle) MAMR prefers the high
@@ -97,7 +98,7 @@ let arrivals_are_honoured () =
   let engine = Engine.create ~policy:(Engine.Dynamic Dynamic_rules.MAMR) ~capacity:10.0 () in
   assert (Engine.submit engine ~arrival:0.0 a = Engine.Accepted);
   assert (Engine.submit engine ~arrival:0.5 b = Engine.Accepted);
-  match Schedule.entries (Engine.drain engine) with
+  match Engine.drain engine with
   | first :: _ ->
       Alcotest.(check int) "online must start what has arrived" 0
         first.Schedule.task.Task.id
@@ -108,13 +109,18 @@ let engine_is_resumable () =
   let engine = Engine.create ~capacity:4.0 () in
   let mk id = Task.make ~id ~comm:1.0 ~comp:1.0 ~mem:1.0 () in
   assert (Engine.submit engine (mk 0) = Engine.Accepted);
-  let first = Engine.drain engine in
-  Alcotest.(check (float 0.0)) "first batch makespan" 2.0 (Schedule.makespan first);
+  Alcotest.(check int) "first drain returns its entry" 1 (List.length (Engine.drain engine));
+  Alcotest.(check (float 0.0)) "first batch makespan" 2.0 (Engine.makespan engine);
   assert (Engine.submit engine ~arrival:10.0 (mk 1) = Engine.Accepted);
-  let second = Engine.drain engine in
-  Alcotest.(check int) "both batches in the schedule" 2 (Schedule.size second);
+  (match Engine.drain engine with
+  | [ e ] -> Alcotest.(check int) "second drain returns only the new entry" 1 e.Schedule.task.Task.id
+  | l -> Alcotest.failf "second drain returned %d entries" (List.length l));
+  let whole = Engine.schedule engine in
+  Alcotest.(check int) "both batches in the schedule" 2 (Schedule.size whole);
   Alcotest.(check (float 0.0)) "second batch waited for its arrival" 12.0
-    (Schedule.makespan second)
+    (Schedule.makespan whole);
+  Alcotest.(check (float 0.0)) "makespan = the whole schedule's" (Schedule.makespan whole)
+    (Engine.makespan engine)
 
 let admission_control () =
   let engine = Engine.create ~queue_limit:2 ~capacity:5.0 () in
@@ -1315,6 +1321,42 @@ let short_writes_resume () =
                     (List.length entries)
               | [] -> Alcotest.fail "empty binary ENTRIES response")))
 
+(* DRAIN answers from the engine's running figures, so its cost is the
+   new work, not the session's length: after 20,000 scheduled entries, a
+   DRAIN with nothing pending allocates under 1,000 minor words and
+   repeats the first DRAIN's answer (a rebuild of the whole schedule
+   for its makespan allocates ~100,000 words). *)
+let empty_drain_is_cheap () =
+  let s = Session.create () in
+  let ask request = fst (Session.handle_request s request) in
+  ignore
+    (ask
+       (Protocol.Init
+          {
+            capacity = 10.0;
+            policy = Engine.Corrected Corrected_rules.OOSCMR;
+            queue_limit = None;
+            binary = false;
+          }));
+  for i = 0 to 19_999 do
+    let comm = float_of_int (1 + (i mod 7)) and comp = float_of_int (1 + (i mod 5)) in
+    match
+      ask (Protocol.Submit { label = "t"; comm; comp; mem = float_of_int (1 + (i mod 3)); arrival = 0.0 })
+    with
+    | [ ok ] when String.length ok >= 2 && String.sub ok 0 2 = "OK" -> ()
+    | r -> Alcotest.failf "SUBMIT %d: %s" i (String.concat " | " r)
+  done;
+  let first = ask Protocol.Drain in
+  Alcotest.(check (option (float 0.0)))
+    "all scheduled" (Some 20_000.0)
+    (Dt_runtime.Client.response_field "scheduled" (String.concat "" first));
+  let w0 = Gc.minor_words () in
+  let again = ask Protocol.Drain in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (list string)) "the same makespan and count" first again;
+  if words >= 1_000.0 then
+    Alcotest.failf "a DRAIN with nothing pending allocated %.0f minor words" words
+
 (* The replay's [gc.minor_words] counts what the client allocated even
    when no minor collection happens during it, as on a short trace
    replayed right after one. *)
@@ -1336,6 +1378,8 @@ let suite =
     prop_online_schedules_valid;
     Alcotest.test_case "arrival times are honoured" `Quick arrivals_are_honoured;
     Alcotest.test_case "engine chains across drains" `Quick engine_is_resumable;
+    Alcotest.test_case "an empty DRAIN after 20,000 entries allocates little" `Quick
+      empty_drain_is_cheap;
     Alcotest.test_case "admission control and backpressure" `Quick admission_control;
     Alcotest.test_case "protocol: well-formed requests" `Quick protocol_parses;
     Alcotest.test_case "protocol: malformed requests rejected" `Quick
