@@ -1378,8 +1378,6 @@ let suite =
     prop_online_schedules_valid;
     Alcotest.test_case "arrival times are honoured" `Quick arrivals_are_honoured;
     Alcotest.test_case "engine chains across drains" `Quick engine_is_resumable;
-    Alcotest.test_case "an empty DRAIN after 20,000 entries allocates little" `Quick
-      empty_drain_is_cheap;
     Alcotest.test_case "admission control and backpressure" `Quick admission_control;
     Alcotest.test_case "protocol: well-formed requests" `Quick protocol_parses;
     Alcotest.test_case "protocol: malformed requests rejected" `Quick
@@ -1432,4 +1430,6 @@ let suite =
       `Quick large_frame_byte_by_byte;
     Alcotest.test_case "replay counts client minor words without a collection"
       `Quick replay_counts_minor_words;
+    Alcotest.test_case "an empty DRAIN after 20,000 entries allocates little" `Quick
+      empty_drain_is_cheap;
   ]
