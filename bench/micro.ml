@@ -238,11 +238,60 @@ let test_cached_run =
             (Dt_core.Cached_rules.run ~policy:Dt_core.Residency.Lru Dt_core.Dynamic_rules.SCMR
                instance)))
 
+(* Reading traces: the default-seed HF trace of process 0 (723 tasks,
+   nbf = 3000) as [dtsched gen] writes it, parsed from memory whole
+   ([trace/read]), and its 3,613 numeric fields (comm, comp, mem and the
+   tile shares) read one by one ([number/read]) and through
+   [float_of_string_opt] ([number/float_of_string]). *)
+let hf_text () =
+  let tasks = Dt_chem.Workload.hf_tasks ~seed:Data.seed ~cluster:Data.cluster ~nbf:3000 ~proc:0 () in
+  let path = Filename.temp_file "dtsched" ".trace" in
+  let oc = open_out_bin path in
+  Dt_trace.Trace.write oc (Dt_trace.Trace.make ~name:"hf-p000" tasks);
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+let numbers text =
+  String.split_on_char '\n' text
+  |> List.concat_map (fun line ->
+         match String.split_on_char '\t' line with
+         | [ _; _; comm; comp; mem; tiles; _ ] when line.[0] <> '#' ->
+             let shares =
+               if tiles = "-" then []
+               else
+                 List.concat_map
+                   (fun triple -> List.tl (String.split_on_char ':' triple))
+                   (String.split_on_char ',' tiles)
+             in
+             comm :: comp :: mem :: shares
+         | _ -> [])
+  |> Array.of_list
+
+let reading_tests () =
+  let text = hf_text () in
+  let fields = numbers text in
+  let number name read =
+    Test.make ~name (Staged.stage (fun () -> Array.iter (fun s -> ignore (read s)) fields))
+  in
+  [
+    Test.make_grouped ~name:"trace"
+      [ Test.make ~name:"read" (Staged.stage (fun () -> ignore (Dt_trace.Trace.parse text))) ];
+    Test.make_grouped ~name:"number"
+      [
+        number "read" Dt_trace.Decimal.of_string_opt;
+        number "float_of_string" float_of_string_opt;
+      ];
+  ]
+
 let run () =
   Printf.printf "\n== micro: heuristic scheduling cost (bechamel) ==\n\n";
   let tests =
     Test.make_grouped ~name:"" ~fmt:"%s%s"
-      [
+      ([
         Test.make_grouped ~name:"heuristics"
           (List.map test_of_heuristic representatives
           @ [ test_two_orders; test_local_search ]);
@@ -251,6 +300,7 @@ let run () =
         Test.make_grouped ~name:"residency" [ test_residency_evict ];
         Test.make_grouped ~name:"cached" [ test_cached_run ];
       ]
+      @ reading_tests ())
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

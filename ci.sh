@@ -129,6 +129,38 @@ for item in "run -t $tmp/bad|$tmp/bad" "fleet -d $tmp/dirset -p hf|$tmp/dirset/h
   fi
 done
 echo "malformed trace OK: run -t and fleet -d exit 1 with the located message, directories too"
+# A file in the directory shorter than "<prefix>-p" is not part of the
+# set: fleet -d reads the one trace beside it and exits 0.
+mkdir "$tmp/short"
+cp "$tmp/traces/hf-p000.trace" "$tmp/short/"
+: >"$tmp/short/hfx"
+status=0
+"$DTSCHED" fleet -d "$tmp/short" -p hf >/dev/null 2>"$tmp/bad.err" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: dtsched fleet -d beside a file named hfx exited $status:" >&2
+  cat "$tmp/bad.err" >&2
+  exit 1
+fi
+# A trace number is any float_of_string literal: hex and underscores
+# read, and an infinite one is the located finiteness error.
+printf '# dtsched-trace v1 hf-p000\n0\tq0\t0x1.8p+0\t2\t16\n1\tq1\t1_000.5\t2\t1_000.5\n' \
+  >"$tmp/bad/literals.trace"
+status=0
+"$DTSCHED" run -t "$tmp/bad/literals.trace" >/dev/null 2>"$tmp/bad.err" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: dtsched run -t on hex and underscore numbers exited $status:" >&2
+  cat "$tmp/bad.err" >&2
+  exit 1
+fi
+printf '# dtsched-trace v1 hf-p000\n0\tq0\t1\t2\t16\n1\tq1\tinf\t2\t16\n' >"$tmp/bad/inf.trace"
+status=0
+"$DTSCHED" run -t "$tmp/bad/inf.trace" >/dev/null 2>"$tmp/bad.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'inf.trace: line 3: comm: must be finite (got inf)' "$tmp/bad.err"; then
+  echo "FAIL: dtsched run -t on an infinite comm exited $status:" >&2
+  cat "$tmp/bad.err" >&2
+  exit 1
+fi
+echo "trace literals OK: short names skipped, hex and _ read, inf located"
 
 echo "== fd-exhaustion smoke =="
 # Out of fds, accept fails with EMFILE while the pending connection

@@ -17,7 +17,7 @@ let fields line =
   String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
 
 let finite_float ~what s =
-  match float_of_string_opt s with
+  match Dt_trace.Decimal.of_string_opt s with
   | Some v when Float.is_nan v -> Error (Printf.sprintf "%s: NaN is not a value" what)
   | Some v when v = Float.infinity || v = Float.neg_infinity ->
       Error (Printf.sprintf "%s: must be finite" what)

@@ -8,11 +8,16 @@
     [tiles writes] for v2. [tiles] is a comma-separated list of
     [tile:comm:mem] triples, or [-] when empty. [writes] is reserved
     and must be [-]: any other value is a parse error naming its line.
-    {!write} emits v1 whenever no task carries tile annotations, so
-    older readers keep working; {!read_result} accepts both versions. Task ids must be
-    unique within a trace (duplicates are a parse error: they would
-    silently corrupt per-id result arrays downstream), and every numeric
-    field must be finite. *)
+    Lines end with a line feed: a carriage return before it belongs to
+    the last field, so a CRLF trace is a parse error. Other lines that
+    start with [#], and empty lines, are skipped. An id is an integer
+    as [int_of_string] reads it, and a number is any literal
+    [float_of_string] accepts ({!Decimal} reads it). {!write} emits v1
+    whenever no task carries tile annotations, so older readers keep
+    working; {!parse} accepts both versions. Task ids must be unique
+    within a trace (duplicates are a parse error: they would silently
+    corrupt per-id result arrays downstream), and every numeric field
+    must be finite. *)
 
 type t = {
   name : string;          (** e.g. ["hf-p042"] *)
@@ -39,13 +44,10 @@ type parse_error = {
 val parse_error_to_string : parse_error -> string
 (** ["line <n>: <message>"]. *)
 
-val read_result : in_channel -> (t, parse_error) result
-(** Total parser: a truncated record, a non-numeric field, a negative
-    duration/memory or a bad header all come back as a located
-    [parse_error]; no [Failure] ever escapes a field conversion. *)
-
-val read : in_channel -> t
-(** Raises [Failure] with the located message on a malformed stream. *)
+val parse : string -> (t, parse_error) result
+(** Total parser over a trace's text: a truncated record, a non-numeric
+    field, a negative duration/memory or a bad header all come back as a
+    located [parse_error]; no [Failure] ever escapes a field conversion. *)
 
 val save : dir:string -> t -> string
 (** Writes [<dir>/<name>.trace] (creating [dir] if needed) and returns
@@ -59,7 +61,8 @@ val load : string -> t
 
 val save_set : dir:string -> prefix:string -> t array -> string list
 val load_set : dir:string -> prefix:string -> t array
-(** Loads every [<prefix>-p*.trace] in ascending process order. *)
+(** Loads every [<prefix>-p*.trace] in ascending process order, reading
+    each into one buffer that serves them all. *)
 
 val of_task_lists : prefix:string -> Dt_core.Task.t list array -> t array
 (** Name each process's task list [<prefix>-p<idx>]. *)

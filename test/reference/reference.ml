@@ -3,8 +3,8 @@
    bit-identical schedules, which Test_equiv pins with QCheck properties
    against these copies, and the core-scaling bench times them as its
    "before" numbers; the same holds for the eviction fold ([Res]), the
-   per-batch state rebuild ([Batch]) and the string frame codecs
-   ([Frame]). Do not
+   per-batch state rebuild ([Batch]), the string frame codecs
+   ([Frame]) and the trace line reader ([Trace_reader]). Do not
    "fix" or modernise this file — its value is that it does not
    change. *)
 
@@ -569,4 +569,108 @@ module Frame = struct
         Buffer.add_string b line)
       lines;
     frame (Buffer.contents b)
+end
+
+(* The line reader that [Trace.parse] replaced: [input_line],
+   [split_on_char] and [float_of_string_opt] per field, a table for
+   duplicate ids. [Trace.parse] is pinned against it, message for
+   message and bit for bit. *)
+module Trace_reader = struct
+  type t = Dt_trace.Trace.t = { name : string; tasks : Dt_core.Task.t list }
+  type parse_error = Dt_trace.Trace.parse_error = { line : int; message : string }
+
+  (* Parsing never lets [Failure] escape from a conversion: every malformed
+     field — truncated record, non-numeric value, negative duration or
+     memory — becomes a located [parse_error]. *)
+  let read_result ic =
+    let lineno = ref 0 in
+    let exception Bad of parse_error in
+    let fail message = raise (Bad { line = !lineno; message }) in
+    try
+      let header =
+        match input_line ic with
+        | header ->
+            incr lineno;
+            header
+        | exception End_of_file -> fail "empty stream"
+      in
+      let version, name =
+        match String.split_on_char ' ' header with
+        | "#" :: "dtsched-trace" :: "v1" :: rest when rest <> [] -> (1, String.concat " " rest)
+        | "#" :: "dtsched-trace" :: "v2" :: rest when rest <> [] -> (2, String.concat " " rest)
+        | _ -> fail "bad header (expected '# dtsched-trace v1|v2 <name>')"
+      in
+      let num what s =
+        match float_of_string_opt s with
+        | Some v when Float.is_nan v -> fail (what ^ ": NaN is not a value")
+        | Some v when not (Float.is_finite v) ->
+            fail (Printf.sprintf "%s: must be finite (got %s)" what s)
+        | Some v when v < 0.0 ->
+            fail (Printf.sprintf "%s: must be non-negative (got %s)" what s)
+        | Some v -> v
+        | None -> fail (Printf.sprintf "%s: not a number (got %S)" what s)
+      in
+      (* the tiles column of a v2 record: [-] or comma-separated
+         [tile:comm:mem] triples *)
+      let refs s =
+        if s = "-" then []
+        else
+          List.map
+            (fun triple ->
+              match String.split_on_char ':' triple with
+              | [ tile; t_comm; t_mem ] ->
+                  let tile =
+                    match int_of_string_opt tile with
+                    | Some v when v >= 0 -> v
+                    | Some _ | None -> fail (Printf.sprintf "tiles: bad tile id (got %S)" tile)
+                  in
+                  {
+                    Dt_core.Task.tile;
+                    t_comm = num "tiles comm" t_comm;
+                    t_mem = num "tiles mem" t_mem;
+                  }
+              | _ -> fail (Printf.sprintf "tiles: expected tile:comm:mem (got %S)" triple))
+            (String.split_on_char ',' s)
+      in
+      let tasks = ref [] in
+      let seen = Hashtbl.create 64 in
+      let int_id id =
+        match int_of_string_opt id with
+        | Some v -> v
+        | None -> fail (Printf.sprintf "id: not an integer (got %S)" id)
+      in
+      let add_task ~id ~label ~comm ~comp ~mem ~tiles =
+        let id = int_id id in
+        (* a duplicate id would silently corrupt the flat per-id records of
+           [Sim.run_two_orders] (the later task overwrites the earlier one's
+           slot), so it is a hard parse error *)
+        if Hashtbl.mem seen id then fail (Printf.sprintf "duplicate task id %d" id);
+        Hashtbl.replace seen id ();
+        tasks :=
+          Dt_core.Task.make ~label ~mem:(num "mem" mem) ~tiles ~id
+            ~comm:(num "comm" comm) ~comp:(num "comp" comp) ()
+          :: !tasks
+      in
+      (try
+         while true do
+           let line = input_line ic in
+           incr lineno;
+           if String.length line > 0 && line.[0] <> '#' then
+             match (version, String.split_on_char '\t' line) with
+             | 1, [ id; label; comm; comp; mem ] -> add_task ~id ~label ~comm ~comp ~mem ~tiles:[]
+             | 2, [ id; label; comm; comp; mem; tiles; "-" ] ->
+                 add_task ~id ~label ~comm ~comp ~mem ~tiles:(refs tiles)
+             | 2, [ _; _; _; _; _; _; writes ] ->
+                 fail (Printf.sprintf "writes: reserved column, must be '-' (got %S)" writes)
+             | v, fields ->
+                 fail
+                   (Printf.sprintf "bad record: expected %d tab-separated fields, got %d"
+                      (if v = 1 then 5 else 7)
+                      (List.length fields))
+         done
+       with End_of_file -> ());
+      Ok { name; tasks = List.rev !tasks }
+    with
+    | Bad e -> Error e
+    | Invalid_argument message -> Error { line = !lineno; message }
 end
